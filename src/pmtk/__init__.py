@@ -8,6 +8,7 @@ from .errors import (
     DomainError,
     GateError,
     InputError,
+    OracleValueError,
     PmtkError,
     UsageError,
 )

@@ -22,7 +22,10 @@ and for an unweighted metric-type distance D with the same K, n:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .spaces import (
@@ -31,8 +34,7 @@ from .spaces import (
     Sampler,
     SpaceClass,
     SpaceDescriptor,
-    chebyshev,
-    eval_distance,
+    eval_terms,
 )
 
 # Cap stored witnesses per axiom; counts are still exact.
@@ -139,6 +141,169 @@ def _collect(axiom: str, witnesses: list[Witness], samples: int) -> AxiomCheck:
     return AxiomCheck(axiom, verdict, tuple(witnesses[:MAX_WITNESSES]), samples)
 
 
+def _witnesses(axiom: str, rows: np.ndarray, mask: np.ndarray, lhs, rhs) -> list[Witness]:
+    """Witnesses for the first MAX_WITNESSES rows where mask holds, in stream order."""
+    idx = np.flatnonzero(mask)[:MAX_WITNESSES]
+    lhs, rhs = np.broadcast_to(lhs, mask.shape), np.broadcast_to(rhs, mask.shape)
+    return [
+        Witness(axiom, tuple(Point(tuple(c)) for c in row), float(lhs[i]), float(rhs[i]))
+        for i, row in zip(idx, rows[idx].tolist())
+    ]
+
+
+def _running_sum(columns: np.ndarray) -> np.ndarray:
+    """Row sums added left to right from 0, as Python's sum() adds them."""
+    total = np.zeros(len(columns))
+    for j in range(columns.shape[1]):
+        total = total + columns[:, j]
+    return total
+
+
+class _Pairs(NamedTuple):
+    rows: np.ndarray  # (N, 2, d)
+    pxx: np.ndarray
+    pyy: np.ndarray
+    pxy: np.ndarray
+    pyx: np.ndarray
+    distinct: np.ndarray  # clearly distinct at the tie tolerance
+
+
+class _Chains(NamedTuple):
+    rows: np.ndarray  # (N, length + 2, d): x, z_1, ..., z_length, y
+    pxy: np.ndarray
+    selfs: np.ndarray  # sum of p(z_i, z_i)
+    bracket: np.ndarray  # p(x, z_1) + ... + p(z_length, y)
+
+
+class _Battery:
+    """One evaluation plan for the checks of one (space, sampler) pair.
+
+    Each stream is drawn once, as a coordinate array, on first use: points(256)
+    for pm1's determinism probe, pairs() for every two-point check,
+    points(512) for D1 and chains(L) per chain length.  Each distance on a
+    stream is evaluated once and stored, and every check derives its verdict
+    from the stored values, so the checks of one report share all their work.
+    """
+
+    def __init__(self, space: SpaceDescriptor, sampler: Sampler, tol: float):
+        self.space, self.sampler, self.tol = space, sampler, tol
+        self._chains: dict[int, _Chains] = {}
+
+    @cached_property
+    def _repeated(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = self.sampler.point_array(count=256)[:, None]
+        return rows, eval_terms(self.space, rows, ((0, 0), (0, 0)))
+
+    @cached_property
+    def _selfs(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = self.sampler.point_array(count=512)[:, None]
+        return rows, eval_terms(self.space, rows, ((0, 0),))[:, 0]
+
+    @cached_property
+    def _pairs(self) -> _Pairs:
+        rows = self.sampler.pair_array()
+        v = eval_terms(self.space, rows, ((0, 0), (1, 1), (0, 1), (1, 0)))
+        distinct = np.abs(rows[:, 0] - rows[:, 1]).max(axis=1) > 10.0 * self.tol
+        return _Pairs(rows, v[:, 0], v[:, 1], v[:, 2], v[:, 3], distinct)
+
+    def _chain(self, length: int) -> _Chains:
+        if length not in self._chains:
+            rows = self.sampler.chain_array(length)
+            last = length + 1
+            # p(x, y), the self-distances of z_1 .. z_length, then the legs
+            terms = [(0, last)] + [(i, i) for i in range(1, last)] + [(i, i + 1) for i in range(last)]
+            v = eval_terms(self.space, rows, terms)
+            self._chains[length] = _Chains(rows, v[:, 0], _running_sum(v[:, 1:last]), _running_sum(v[:, last:]))
+        return self._chains[length]
+
+    def pm1(self) -> AxiomCheck:
+        rows, v = self._repeated
+        witnesses = _witnesses("pm1", rows[:, (0, 0)], np.abs(v[:, 0] - v[:, 1]) > self.tol, v[:, 0], v[:, 1])
+        p = self._pairs
+        plateau = p.distinct & (p.pxx == p.pxy) & (p.pyy == p.pxy)
+        witnesses += _witnesses("pm1", p.rows, plateau, p.pxy, p.pxy)
+        return _collect("pm1", witnesses, len(rows) + len(p.rows))
+
+    def pm2(self) -> AxiomCheck:
+        p = self._pairs
+        return _collect("pm2", _witnesses("pm2", p.rows, p.pxx > p.pxy + self.tol, p.pxx, p.pxy), len(p.rows))
+
+    def symmetry(self, axiom: str) -> AxiomCheck:
+        """pm3 and D2: the same test under the weighted and unweighted names."""
+        p = self._pairs
+        return _collect(axiom, _witnesses(axiom, p.rows, np.abs(p.pxy - p.pyx) > self.tol, p.pxy, p.pyx),
+                        len(p.rows))
+
+    def d1(self) -> AxiomCheck:
+        rows, v = self._selfs
+        return _collect("D1", _witnesses("D1", rows, v > self.tol, v, 0.0), len(rows))
+
+    def positivity(self) -> AxiomCheck:
+        p = self._pairs
+        return _collect("positivity", _witnesses("positivity", p.rows, p.distinct & (p.pxy <= self.tol), p.pxy, 0.0),
+                        len(p.rows))
+
+    def chain_check(self, axiom: str, lengths: Sequence[int], K: float, weighted: bool) -> AxiomCheck:
+        """pm4 (weighted: self-distances join the left side) or D3 at coefficient K."""
+        witnesses: list[Witness] = []
+        n = 0
+        for length in lengths:
+            c = self._chain(length)
+            lhs = c.pxy + c.selfs if weighted else c.pxy
+            rhs = K * c.bracket
+            witnesses += _witnesses(axiom, c.rows, lhs > rhs + self.tol, lhs, rhs)
+            n += len(c.rows)
+        return _collect(axiom, witnesses, n)
+
+    def min_K(self, lengths: Sequence[int]) -> float:
+        best = 1.0
+        for length in lengths:
+            c = self._chain(length)
+            lhs, zero = c.pxy + c.selfs, c.bracket <= 0.0
+            if (zero & (lhs > self.tol)).any():
+                return float("inf")
+            if not zero.all():
+                best = max(best, float((lhs[~zero] / c.bracket[~zero]).max()))
+        return best
+
+    def core_checks(self, chain_mode: str) -> dict[str, AxiomCheck]:
+        """pm1 through pm4 and D1 through D3 at the descriptor's K and order."""
+        lengths = _chain_lengths(self.space, None, chain_mode)
+        K = self.space.coeff_K
+        return {
+            "pm1": self.pm1(),
+            "pm2": self.pm2(),
+            "pm3": self.symmetry("pm3"),
+            "pm4": self.chain_check("pm4", lengths, K, weighted=True),
+            "D1": self.d1(),
+            "D2": self.symmetry("D2"),
+            "D3": self.chain_check("D3", lengths, K, weighted=False),
+        }
+
+    def labels(self, checks: Mapping[str, AxiomCheck]) -> tuple[ClassLabel, ...]:
+        """classify() from the core checks, probing only what they leave open."""
+        space = self.space
+        labels: list[ClassLabel] = []
+        if all(checks[k].passed for k in ("pm1", "pm2", "pm3")):
+            declared = checks["pm4"].passed
+            if declared:
+                labels.append(ClassLabel(SpaceClass.KPMS, space.polygon_order_n, space.coeff_K))
+            if space.polygon_order_n == 1:
+                order_one = declared
+            else:
+                order_one = self.chain_check("pm4", (1,), space.coeff_K, weighted=True).passed
+            if order_one:
+                labels.append(ClassLabel(SpaceClass.PARTIAL_B_METRIC, 1, space.coeff_K))
+            if self.chain_check("pm4", (2,), 1.0, weighted=True).passed:
+                labels.append(ClassLabel(SpaceClass.PARTIAL_RECTANGULAR, 2, 1.0))
+        if all(checks[k].passed for k in ("D1", "D2", "D3")):
+            labels.append(ClassLabel(SpaceClass.METRIC_TYPE, space.polygon_order_n, space.coeff_K))
+            pos = checks.get("positivity") or self.positivity()
+            if pos.passed and self.chain_check("pm4", (1,), 1.0, weighted=True).passed:
+                labels.append(ClassLabel(SpaceClass.METRIC, 1, 1.0))
+        return tuple(labels)
+
+
 def check_pm1(space: SpaceDescriptor, sampler: Sampler, tol: float = DEFAULT_TOL) -> AxiomCheck:
     """Indistinguishability: x = y iff all three distances coincide.
 
@@ -150,48 +315,17 @@ def check_pm1(space: SpaceDescriptor, sampler: Sampler, tol: float = DEFAULT_TOL
     rather than genuine plateaus.  Collapses that sampling can actually
     certify (constant patches, zeroed-out regions) are exact in floats.
     """
-    witnesses: list[Witness] = []
-    n = 0
-    for x in sampler.points(count=256):
-        n += 1
-        a = eval_distance(space, x, x)
-        b = eval_distance(space, x, x)
-        if abs(a - b) > tol:
-            witnesses.append(Witness("pm1", (x, x), a, b))
-    for x, y in sampler.pairs():
-        n += 1
-        if chebyshev(x, y) <= 10.0 * tol:
-            continue  # too close to call distinct at this tolerance
-        pxy = eval_distance(space, x, y)
-        if eval_distance(space, x, x) == pxy and eval_distance(space, y, y) == pxy:
-            witnesses.append(Witness("pm1", (x, y), pxy, pxy))
-    return _collect("pm1", witnesses, n)
+    return _Battery(space, sampler, tol).pm1()
 
 
 def check_pm2(space: SpaceDescriptor, sampler: Sampler, tol: float = DEFAULT_TOL) -> AxiomCheck:
     """Small self-distances: p(x,x) <= p(x,y)."""
-    witnesses: list[Witness] = []
-    n = 0
-    for x, y in sampler.pairs():
-        n += 1
-        self_d = eval_distance(space, x, x)
-        cross = eval_distance(space, x, y)
-        if self_d > cross + tol:
-            witnesses.append(Witness("pm2", (x, y), self_d, cross))
-    return _collect("pm2", witnesses, n)
+    return _Battery(space, sampler, tol).pm2()
 
 
 def check_pm3(space: SpaceDescriptor, sampler: Sampler, tol: float = DEFAULT_TOL) -> AxiomCheck:
     """Symmetry in both arguments."""
-    witnesses: list[Witness] = []
-    n = 0
-    for x, y in sampler.pairs():
-        n += 1
-        a = eval_distance(space, x, y)
-        b = eval_distance(space, y, x)
-        if abs(a - b) > tol:
-            witnesses.append(Witness("pm3", (x, y), a, b))
-    return _collect("pm3", witnesses, n)
+    return _Battery(space, sampler, tol).symmetry("pm3")
 
 
 def _chain_lengths(space: SpaceDescriptor, chain_len: int | None, chain_mode: str) -> list[int]:
@@ -215,20 +349,8 @@ def check_pm4(
 ) -> AxiomCheck:
     """Polygon inequality over sampled chains x, z_1, ..., z_n, y."""
     coeff = space.coeff_K if K is None else float(K)
-    witnesses: list[Witness] = []
-    n = 0
-    for length in _chain_lengths(space, chain_len, chain_mode):
-        for chain in sampler.chains(length):
-            n += 1
-            x, *mid, y = chain
-            lhs = eval_distance(space, x, y) + sum(eval_distance(space, z, z) for z in mid)
-            legs = [x, *mid, y]
-            bracket = sum(
-                eval_distance(space, legs[i], legs[i + 1]) for i in range(len(legs) - 1)
-            )
-            if lhs > coeff * bracket + tol:
-                witnesses.append(Witness("pm4", chain, lhs, coeff * bracket))
-    return _collect("pm4", witnesses, n)
+    lengths = _chain_lengths(space, chain_len, chain_mode)
+    return _Battery(space, sampler, tol).chain_check("pm4", lengths, coeff, weighted=True)
 
 
 def check_metric_type(
@@ -241,53 +363,18 @@ def check_metric_type(
 ) -> dict[str, AxiomCheck]:
     """The unweighted axioms D1 through D3 for the same oracle."""
     coeff = space.coeff_K if K is None else float(K)
-    d1: list[Witness] = []
-    n1 = 0
-    for x in sampler.points(count=512):
-        n1 += 1
-        v = eval_distance(space, x, x)
-        if v > tol:
-            d1.append(Witness("D1", (x,), v, 0.0))
-    d2: list[Witness] = []
-    n2 = 0
-    for x, y in sampler.pairs():
-        n2 += 1
-        a = eval_distance(space, x, y)
-        b = eval_distance(space, y, x)
-        if abs(a - b) > tol:
-            d2.append(Witness("D2", (x, y), a, b))
-    d3: list[Witness] = []
-    n3 = 0
-    for length in _chain_lengths(space, chain_len, chain_mode):
-        for chain in sampler.chains(length):
-            n3 += 1
-            x, *mid, y = chain
-            lhs = eval_distance(space, x, y)
-            legs = [x, *mid, y]
-            bracket = sum(
-                eval_distance(space, legs[i], legs[i + 1]) for i in range(len(legs) - 1)
-            )
-            if lhs > coeff * bracket + tol:
-                d3.append(Witness("D3", chain, lhs, coeff * bracket))
+    lengths = _chain_lengths(space, chain_len, chain_mode)
+    battery = _Battery(space, sampler, tol)
     return {
-        "D1": _collect("D1", d1, n1),
-        "D2": _collect("D2", d2, n2),
-        "D3": _collect("D3", d3, n3),
+        "D1": battery.d1(),
+        "D2": battery.symmetry("D2"),
+        "D3": battery.chain_check("D3", lengths, coeff, weighted=False),
     }
 
 
 def check_positivity(space: SpaceDescriptor, sampler: Sampler, tol: float = DEFAULT_TOL) -> AxiomCheck:
     """Distinct points must have strictly positive distance (metric claim)."""
-    witnesses: list[Witness] = []
-    n = 0
-    for x, y in sampler.pairs():
-        n += 1
-        if chebyshev(x, y) <= 10.0 * tol:
-            continue
-        v = eval_distance(space, x, y)
-        if v <= tol:
-            witnesses.append(Witness("positivity", (x, y), v, 0.0))
-    return _collect("positivity", witnesses, n)
+    return _Battery(space, sampler, tol).positivity()
 
 
 def estimate_min_K(
@@ -302,23 +389,7 @@ def estimate_min_K(
     Returns at least 1.0.  A chain with zero bracket but positive left side
     is incompatible with every finite K and yields inf.
     """
-    best = 1.0
-    for length in _chain_lengths(space, chain_len, chain_mode):
-        for chain in sampler.chains(length):
-            x, *mid, y = chain
-            lhs = eval_distance(space, x, y) + sum(eval_distance(space, z, z) for z in mid)
-            legs = [x, *mid, y]
-            bracket = sum(
-                eval_distance(space, legs[i], legs[i + 1]) for i in range(len(legs) - 1)
-            )
-            if bracket <= 0.0:
-                if lhs > tol:
-                    return float("inf")
-                continue
-            ratio = lhs / bracket
-            if ratio > best:
-                best = ratio
-    return best
+    return _Battery(space, sampler, tol).min_K(_chain_lengths(space, chain_len, chain_mode))
 
 
 def classify(
@@ -334,32 +405,8 @@ def classify(
     rectangular specializations probed separately.  Unweighted labels need
     D1 through D3, plus positivity for the plain metric label.
     """
-    labels: list[ClassLabel] = []
-    pm1 = check_pm1(space, sampler, tol)
-    pm2 = check_pm2(space, sampler, tol)
-    pm3 = check_pm3(space, sampler, tol)
-    weighted_core = pm1.passed and pm2.passed and pm3.passed
-
-    if weighted_core:
-        pm4_declared = check_pm4(space, sampler, chain_mode=chain_mode, tol=tol)
-        if pm4_declared.passed:
-            labels.append(ClassLabel(SpaceClass.KPMS, space.polygon_order_n, space.coeff_K))
-        if space.polygon_order_n == 1:
-            if pm4_declared.passed:
-                labels.append(ClassLabel(SpaceClass.PARTIAL_B_METRIC, 1, space.coeff_K))
-        elif check_pm4(space, sampler, chain_len=1, chain_mode="exact", tol=tol).passed:
-            labels.append(ClassLabel(SpaceClass.PARTIAL_B_METRIC, 1, space.coeff_K))
-        if check_pm4(space, sampler, chain_len=2, K=1.0, chain_mode="exact", tol=tol).passed:
-            labels.append(ClassLabel(SpaceClass.PARTIAL_RECTANGULAR, 2, 1.0))
-
-    d_checks = check_metric_type(space, sampler, chain_mode=chain_mode, tol=tol)
-    if all(c.passed for c in d_checks.values()):
-        labels.append(ClassLabel(SpaceClass.METRIC_TYPE, space.polygon_order_n, space.coeff_K))
-        pos = check_positivity(space, sampler, tol)
-        tri = check_pm4(space, sampler, chain_len=1, K=1.0, chain_mode="exact", tol=tol)
-        if pos.passed and tri.passed:
-            labels.append(ClassLabel(SpaceClass.METRIC, 1, 1.0))
-    return tuple(labels)
+    battery = _Battery(space, sampler, tol)
+    return battery.labels(battery.core_checks(chain_mode))
 
 
 def build_report(
@@ -369,18 +416,18 @@ def build_report(
     tol: float = DEFAULT_TOL,
     with_labels: bool = False,
 ) -> AxiomReport:
-    """Run every axiom family against the space and aggregate the results."""
+    """Run every axiom family against the space and aggregate the results.
+
+    All checks, min-K and the labels come from one evaluation plan, so each
+    sampled stream is drawn once and each distance on it evaluated once.
+    """
     report = AxiomReport(space_class_claim=space.class_claim, chain_mode=chain_mode)
-    report.checks["pm1"] = check_pm1(space, sampler, tol)
-    report.checks["pm2"] = check_pm2(space, sampler, tol)
-    report.checks["pm3"] = check_pm3(space, sampler, tol)
-    report.checks["pm4"] = check_pm4(space, sampler, chain_mode=chain_mode, tol=tol)
-    for name, check in check_metric_type(space, sampler, chain_mode=chain_mode, tol=tol).items():
-        report.checks[name] = check
+    battery = _Battery(space, sampler, tol)
+    report.checks.update(battery.core_checks(chain_mode))
     if space.class_claim is SpaceClass.METRIC:
-        report.checks["positivity"] = check_positivity(space, sampler, tol)
+        report.checks["positivity"] = battery.positivity()
     if all(report.checks[k].passed for k in ("pm1", "pm2", "pm3")):
-        report.min_K_estimate = estimate_min_K(space, sampler, chain_mode=chain_mode, tol=tol)
+        report.min_K_estimate = battery.min_K(_chain_lengths(space, None, chain_mode))
     if with_labels:
-        report.labels = classify(space, sampler, chain_mode=chain_mode, tol=tol)
+        report.labels = battery.labels(report.checks)
     return report

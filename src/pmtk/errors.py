@@ -13,6 +13,10 @@ class DomainError(InputError):
     """A point lies outside a space's declared domain box."""
 
 
+class OracleValueError(InputError):
+    """A distance oracle returned a negative or non-finite value; names the points."""
+
+
 class ConstructionError(PmtkError):
     """A derived-space construction failed; carries the offending points."""
 

@@ -20,11 +20,11 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, InputError, PmtkError
+from .errors import ConstructionError, DomainError, InputError, OracleValueError
 
 # Global absolute comparison tolerance; every checker takes an override.
 DEFAULT_TOL = 1e-9
@@ -90,7 +90,10 @@ class Box:
         norm = []
         for b in self.bounds:
             lo, hi, olo, ohi = b
-            lo, hi = float(lo), float(hi)
+            try:
+                lo, hi = float(lo), float(hi)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad interval bounds {b!r}") from exc
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
                 raise InputError(f"bad interval bounds {b!r}")
             norm.append((lo, hi, bool(olo), bool(ohi)))
@@ -114,6 +117,13 @@ class Box:
                 return False
         return True
 
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """contains() for each row of an (N, d) array of finite coordinates."""
+        inside = np.ones(len(rows), dtype=bool)
+        for c, (lo, hi, olo, ohi) in zip(rows.T, self.bounds):
+            inside &= (c > lo if olo else c >= lo) & (c < hi if ohi else c <= hi)
+        return inside
+
     def effective_bounds(self, margin: float) -> tuple[tuple[float, float], ...]:
         """Closed sampling intervals, shrunk away from open endpoints."""
         out = []
@@ -130,6 +140,9 @@ class Box:
 
     @classmethod
     def from_json(cls, doc) -> "Box":
+        """The list form that to_json writes: [[lo, hi, open_lo, open_hi], ...]."""
+        if not isinstance(doc, list):
+            raise InputError(f"malformed domain {doc!r}: expected a list of [lo, hi, open_lo, open_hi]")
         try:
             return cls(tuple((b[0], b[1], b[2], b[3]) for b in doc))
         except (TypeError, IndexError) as exc:
@@ -338,8 +351,39 @@ def eval_distance(space: SpaceDescriptor, x, y) -> float:
         raise DomainError(f"point {py.coords} outside domain {space.domain.to_json()}")
     v = space.oracle.fn(px, py)
     if not math.isfinite(v) or v < 0.0:
-        raise PmtkError(f"oracle returned invalid distance {v!r} at {px.coords}, {py.coords}")
+        raise OracleValueError(f"oracle returned invalid distance {v!r} at {px.coords}, {py.coords}")
     return v
+
+
+def eval_terms(space: SpaceDescriptor, rows: np.ndarray, terms: Sequence[tuple[int, int]]) -> np.ndarray:
+    """eval_distance over a batch: p(t[a], t[b]) for each point tuple t and term (a, b).
+
+    rows is an (N, T, d) coordinate array, such as a Sampler stream; the
+    result is an (N, len(terms)) array, evaluated row by row in term order.
+    The domain and the output checks of eval_distance run once per batch.
+    """
+    flat = rows.reshape(-1, rows.shape[-1])
+    if rows.shape[-1] != space.dim and len(flat):
+        raise InputError(f"expected a {space.dim}-dimensional point, got {tuple(flat[0].tolist())!r}")
+    outside = ~space.domain.contains_rows(flat)
+    if outside.any():
+        coords = tuple(flat[outside][0].tolist())
+        raise DomainError(f"point {coords} outside domain {space.domain.to_json()}")
+    fn = space.oracle.fn
+    values = np.fromiter(
+        (fn(t[a], t[b]) for t in _point_tuples(rows) for a, b in terms),
+        dtype=float,
+        count=len(rows) * len(terms),
+    ).reshape(len(rows), len(terms))
+    bad = ~np.isfinite(values) | (values < 0.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        a, b = terms[j]
+        raise OracleValueError(
+            f"oracle returned invalid distance {float(values[i, j])!r} at "
+            f"{tuple(rows[i, a].tolist())}, {tuple(rows[i, b].tolist())}"
+        )
+    return values
 
 
 def self_distance(space: SpaceDescriptor, x) -> float:
@@ -428,76 +472,100 @@ class Sampler:
     def _axes(self, density: int) -> list[np.ndarray]:
         return [np.linspace(lo, hi, density) for lo, hi in self.region.effective_bounds(self.margin)]
 
-    def _grid_tuples(self, tuple_len: int, count: int) -> list[tuple[Point, ...]]:
-        if count <= 0:
-            return []
+    def _grid_rows(self, tuple_len: int, count: int) -> np.ndarray:
+        """Up to count grid tuples as a (take, tuple_len, d) array."""
         d = self.region.dim
+        if count <= 0:
+            return np.empty((0, tuple_len, d))
         dims = tuple_len * d
         g = max(2, math.ceil(count ** (1.0 / dims)))
         axes = self._axes(g)
         total = g**dims
         take = min(count, total)
         # evenly spaced flat indices keep boundary combinations in the sample
-        flat = np.linspace(0, total - 1, take).round().astype(np.int64)
-        out = []
-        for fi in flat:
-            rem = int(fi)
-            digits = []
-            for _ in range(dims):
-                digits.append(rem % g)
-                rem //= g
-            pts = tuple(
-                Point(tuple(float(axes[a][digits[p * d + a]]) for a in range(d)))
-                for p in range(tuple_len)
-            )
-            out.append(pts)
-        return out
+        if total <= 2**53:
+            flat = np.linspace(0, total - 1, take).round().astype(np.int64)
+        else:
+            # beyond 2**53 a float spacing merges neighbouring indices and
+            # overflows int64, so round i (total - 1) / (take - 1) in integers
+            span, steps = total - 1, max(take - 1, 1)
+            flat = np.array([(2 * i * span + steps) // (2 * steps) for i in range(take)], dtype=object)
+        digits = np.empty((take, dims), dtype=np.int64)
+        for k in range(dims):
+            digits[:, k] = flat % g
+            flat = flat // g
+        rows = np.empty((take, tuple_len, d))
+        for a in range(d):
+            # digit p * d + a picks axis a of tuple position p
+            rows[:, :, a] = axes[a][digits[:, a::d]]
+        return _finite(rows)
 
-    def _random_tuples(self, tuple_len: int, count: int, stream: int) -> list[tuple[Point, ...]]:
+    def _random_rows(self, tuple_len: int, count: int, stream: int) -> np.ndarray:
+        """count seeded uniform tuples as a (count, tuple_len, d) array."""
         if count <= 0:
-            return []
+            return np.empty((0, tuple_len, self.region.dim))
         rng = self._rng(stream)
         bounds = self.region.effective_bounds(self.margin)
-        cols = [rng.uniform(lo, hi, size=(count, tuple_len)) for lo, hi in bounds]
-        out = []
-        for row in range(count):
-            pts = tuple(
-                Point(tuple(float(cols[a][row, p]) for a in range(len(bounds))))
-                for p in range(tuple_len)
-            )
-            out.append(pts)
-        return out
+        return _finite(np.stack([rng.uniform(lo, hi, size=(count, tuple_len)) for lo, hi in bounds], axis=-1))
 
-    def points(self, count: int | None = None) -> list[Point]:
+    def _draw(self, tuple_len: int, count: int, stream: int) -> np.ndarray:
+        grid = self._grid_rows(tuple_len, count // 2)
+        return np.concatenate([grid, self._random_rows(tuple_len, count - len(grid), stream)])
+
+    def point_array(self, count: int | None = None) -> np.ndarray:
+        """The points() stream as an (N, d) coordinate array."""
         if count is None:
-            grid = [Point(tuple(float(c) for c in combo)) for combo in _meshgrid_rows(self._axes(self.grid_density))]
-            rand = [t[0] for t in self._random_tuples(1, self.random_count, stream=0)]
-            return grid + rand
-        n_grid = count // 2
-        grid = [t[0] for t in self._grid_tuples(1, n_grid)]
-        rand = [t[0] for t in self._random_tuples(1, count - len(grid), stream=0)]
-        return grid + rand
+            mesh = np.meshgrid(*self._axes(self.grid_density), indexing="ij")
+            grid = _finite(np.stack([m.ravel() for m in mesh], axis=-1)[:, None])
+            return np.concatenate([grid, self._random_rows(1, self.random_count, stream=0)])[:, 0]
+        return self._draw(1, count, stream=0)[:, 0]
 
-    def pairs(self, count: int | None = None) -> list[tuple[Point, Point]]:
-        n = self.random_count if count is None else count
-        grid = self._grid_tuples(2, n // 2)
-        rand = self._random_tuples(2, n - len(grid), stream=1)
-        return grid + rand
+    def pair_array(self, count: int | None = None) -> np.ndarray:
+        """The pairs() stream as an (N, 2, d) coordinate array."""
+        return self._draw(2, self.random_count if count is None else count, stream=1)
 
-    def chains(self, chain_len: int, count: int | None = None) -> list[tuple[Point, ...]]:
-        """Tuples (x, z_1, ..., z_chain_len, y) for the polygon inequality."""
+    def chain_array(self, chain_len: int, count: int | None = None) -> np.ndarray:
+        """The chains() stream as an (N, chain_len + 2, d) coordinate array."""
         if chain_len < 1:
             raise InputError(f"chain length must be >= 1, got {chain_len}")
         n = self.random_count if count is None else count
-        grid = self._grid_tuples(chain_len + 2, n // 2)
-        rand = self._random_tuples(chain_len + 2, n - len(grid), stream=100 + chain_len)
-        return grid + rand
+        return self._draw(chain_len + 2, n, stream=100 + chain_len)
+
+    def points(self, count: int | None = None) -> list[Point]:
+        return [t[0] for t in _point_tuples(self.point_array(count)[:, None])]
+
+    def pairs(self, count: int | None = None) -> list[tuple[Point, Point]]:
+        return list(_point_tuples(self.pair_array(count)))
+
+    def chains(self, chain_len: int, count: int | None = None) -> list[tuple[Point, ...]]:
+        """Tuples (x, z_1, ..., z_chain_len, y) for the polygon inequality."""
+        return list(_point_tuples(self.chain_array(chain_len, count)))
 
 
-def _meshgrid_rows(axes: list[np.ndarray]) -> Iterable[Sequence[float]]:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    stacked = np.stack([m.ravel() for m in mesh], axis=-1)
-    return stacked.tolist()
+def _finite(rows: np.ndarray) -> np.ndarray:
+    """rows, once every coordinate in the batch is checked finite."""
+    ok = np.isfinite(rows).all(axis=-1)
+    if not ok.all():
+        raise InputError(f"non-finite coordinate in {tuple(rows[~ok][0].tolist())!r}")
+    return rows
+
+
+def _point_tuples(rows: np.ndarray) -> Iterator[tuple[Point, ...]]:
+    """Point tuples from an (N, T, d) array of finite coordinates, in row order.
+
+    The rows were validated as a batch, so each Point skips its own
+    coercion and finiteness check.  Rows are converted in blocks, which
+    keeps a long stream from existing as Python objects all at once.
+    """
+    new, setattr_ = object.__new__, object.__setattr__
+    for start in range(0, len(rows), 256):
+        for row in rows[start:start + 256].tolist():
+            pts = []
+            for coords in row:
+                p = new(Point)
+                setattr_(p, "coords", tuple(coords))
+                pts.append(p)
+            yield tuple(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,24 @@ def test_check_missing_file_exits_sixtyfive(capsys, tmp_path):
     assert "error" in err
 
 
+def test_check_negative_oracle_is_rejected_input(capsys, tmp_path):
+    spec = {"op": "affine", "arg": {"op": "absdiff"}, "offset": -0.5}
+    path = write_space(tmp_path / "neg.json", spec=spec, claim=SpaceClass.PARTIAL_B_METRIC)
+    code, _, err = run(capsys, "check", path, "--random-count", "50")
+    assert code == 65
+    assert "invalid distance -0.5 at (0.0,), (0.0,)" in err
+
+
+def test_check_rejects_domain_in_object_form(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    doc = json.loads(open(write_space(path)).read())
+    doc["domain"] = {"bounds": doc["domain"]}
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 65
+    assert "malformed domain" in err
+
+
 def test_check_report_is_byte_stable(capsys, tmp_path):
     path = write_space(tmp_path / "line.json")
     out1 = tmp_path / "r1.json"

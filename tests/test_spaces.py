@@ -1,8 +1,12 @@
 """Core data model tests: points, boxes, oracles, descriptors, samplers."""
 
+import hashlib
 import json
 import math
 import os
+import re
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,10 @@ def test_box_json_round_trip():
     assert Box.from_json(b.to_json()) == b
     with pytest.raises(InputError):
         Box.from_json([[0.0, 1.0]])
+    with pytest.raises(InputError):
+        Box.from_json({"bounds": [[0.0, 1.0, False, False]]})
+    with pytest.raises(InputError):
+        Box.from_json([["zero", 1.0, False, False]])
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +350,82 @@ def test_sampler_chain_tuples_have_requested_length():
         s.chains(0)
 
 
+# sha256 of each stream's coordinates: a change to how the sampler builds its
+# streams must leave every coordinate bitwise identical
+STREAM_CASES = [
+    (11, ((0.0, 1.0, False, False),), 4, 64, {
+        "points()": "77eb8be3dfaee5d4703da04314d36ab23c8cef942ab28551741fa9d95fd46f51",
+        "points(256)": "edc507cb78f18571c9e74af3345c65f654696b2672b5a6c3aacf591e85985632",
+        "pairs()": "95ec9c92123fdc157a0f4237c943625f5932399e1efca7697d907cdbd4dc4802",
+        "pairs(33)": "c1c013d5d22e67c955c596dc6601c83ab9cf4e1b9a6699dcedf19c5a38da590b",
+        "chains(1)": "2c167973a8f57769c167126cbd13d6955a528b67bd88603ddd45c61a5901b3ab",
+        "chains(3)": "ff3dccd4c3624abd7379d3e311ce5066c13ba24ebb5a3b28c7356279951df770",
+    }),
+    (2**63 + 1, ((-1.0, 2.5, True, False), (0.25, 0.75, False, True)), 32, 300, {
+        "points()": "f373627ae529f24cbb274897c78f5a06958cfe2b426d1996ce68af1b9379536e",
+        "points(256)": "1b984e4c532e1c55a24888b407233346f4416108be6999f75fcbf6eada832b30",
+        "pairs()": "50c5b81ca469cdc626483162be514529013b1617c7424adea630dfeb42584420",
+        "pairs(33)": "f76cc3dfc1dc07d839d9fd39e9c7d2a53316a52e6e17fb6b02efa2c9bdb2ac40",
+        "chains(1)": "210e51fd066d5039caf77ff130b293a270f72b89c6d0e68cb6c8b17dbf572d2d",
+        "chains(3)": "38acfeff248f5bc21ac20e0622836bc9a518c995fa6f3275153d94911ae5487f",
+    }),
+    (0, ((0.0, 1.0, True, True), (1.0, 3.0, False, False), (-2.0, -1.0, False, True)), 5, 50, {
+        "points()": "06e48c9414a3c0b3cdcc596362821fd40bb5d1073e09e4cab32f9b77e1cfbcb2",
+        "points(256)": "a2afae84302e437f0f67c38fd191fe0c1d4e2977580f9d49df698083d1165cdf",
+        "pairs()": "9f47a99eba9ae2af339b92fd8c7b25008e4a89d93ea8f9006dbaf41dd918e252",
+        "pairs(33)": "8383b7b192c0893a5176fb1395f1fa081e6b554193736207a478ec354851c299",
+        "chains(1)": "2bb5a35dd2740d44601eb7a83f341832a17d804de231e9a69b6903c5e79e6372",
+        "chains(3)": "4560c1346e33674298c8ee95b17c71fd995f9dd5aef9e9cd7b5fa476eb20df3d",
+    }),
+    (7, tuple((0.0, 1.0 + a, False, False) for a in range(5)), 6, 40, {
+        "points(256)": "5515e28bc74865690c638f0ba254d9de840ac509ee0044d3f98b2a93ec09f537",
+        "pairs()": "ccf374d1c92aec02c1b7f7aa272e5302a479e59174553297fc34aa17831e5047",
+        "pairs(33)": "6d0654d996b88ebb909dae8aa2ee8097f53acac007f2dac8f6c70b5d8e4bec9e",
+        "chains(1)": "aebbbe84ccc1f6dbcdbe86a1ce42b5e29f73f11b409a30e1fddc563ad255f61e",
+        "chains(3)": "e85545a22b4df7f54b5360a89188ade4cd005b2b15951550bf848c8e158cc922",
+    }),
+]
+
+
+def _stream_digest(stream):
+    rows = [[list(p.coords) for p in (t if isinstance(t, tuple) else (t,))] for t in stream]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,bounds,density,count,digests", STREAM_CASES)
+def test_sampler_streams_match_frozen_digests(seed, bounds, density, count, digests):
+    s = Sampler(seed=seed, region=Box(bounds), grid_density=density, random_count=count)
+    draws = {
+        "points()": s.points,
+        "points(256)": lambda: s.points(count=256),
+        "pairs()": s.pairs,
+        "pairs(33)": lambda: s.pairs(count=33),
+        "chains(1)": lambda: s.chains(1),
+        "chains(3)": lambda: s.chains(3),
+    }
+    assert {name: _stream_digest(draws[name]()) for name in digests} == digests
+
+
+def test_sampler_arrays_hold_the_point_streams():
+    s = Sampler(seed=4, region=Box(((0.0, 1.0, True, False), (2.0, 3.0, False, False))), random_count=30)
+    assert [p.coords for p in s.points(count=20)] == [tuple(r) for r in s.point_array(count=20).tolist()]
+    assert s.pair_array().shape == (30, 2, 2)
+    assert s.chains(2) == [tuple(Point(tuple(c)) for c in row) for row in s.chain_array(2).tolist()]
+
+
+def test_sampler_grid_is_exact_in_high_dimension():
+    # 8 points of 8 axes make 64 grid digits: 2**64 flat indices, past
+    # what a float spacing or an int64 index can hold
+    box = Box(tuple((0.0, 1.0, False, False) for _ in range(8)))
+    s = Sampler(seed=3, region=box, random_count=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chains = s.chains(6)
+    assert len(chains) == 100
+    assert len(set(chains)) == 100
+    assert all(box.contains(p) for chain in chains for p in chain)
+
+
 def test_sampler_validates_configuration():
     box = Box.closed(0.0, 1.0)
     with pytest.raises(InputError):
@@ -427,3 +511,12 @@ def test_atomic_write_output_is_stable():
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert text.startswith('{\n  "a"')
     assert math.isclose(json.loads(text)["a"][1], 0.1)
+
+
+def test_readme_space_document_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        space = space_from_json(json.loads(block))
+        assert space_to_json(space)["domain"] == json.loads(block)["domain"]
