@@ -10,7 +10,12 @@ certify_alpha_series searches a lambda grid for the smallest index n(lambda)
 at which the property provably holds over the checked horizon, preferring
 certificates that kick in earliest.  Terms are kept as exact rationals
 whenever the inputs allow it, so certificates at the horizon are decided by
-integer arithmetic, not float accumulation.
+integer arithmetic, not float accumulation: sum_{i<=L} a_i > lambda L is the
+integer comparison P_num q > p L P_den between the prefix sum P_L and
+lambda's rational form p/q.  A float screen with a proven error bound
+decides the comparisons that are clear by a wide relative margin and leaves
+the close ones to the integers, so exact prefix sums are only added up as
+far as a close comparison needs.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -51,31 +58,37 @@ class RateSequence:
         return len(self.terms)
 
 
-def _exact_pow(base: Fraction, s: float) -> Fraction | None:
-    """base**s as an exact rational when s is an integer or half-integer.
+def _exact_exponent(s: float) -> Fraction | None:
+    """s as a Fraction when it is an integer or half-integer, else None."""
+    fs = Fraction(s).limit_denominator(10**6)
+    if float(fs) != float(s) or fs.denominator > 2:
+        return None
+    return fs
+
+
+def _exact_base(base: Fraction, fs: Fraction | None) -> tuple[int, int, int] | None:
+    """(a, b, k) with base**fs == (a/b)**k exactly, or None when it is irrational.
 
     Half-integer powers stay exact only when numerator and denominator are
-    perfect squares; otherwise None signals the caller to fall back to float.
+    perfect squares.
     """
-    fs = Fraction(s).limit_denominator(10**6)
-    if float(fs) != float(s):
+    if fs is None:
         return None
+    num, den = base.numerator, base.denominator
     if fs.denominator == 1:
-        return base ** int(fs)
-    if fs.denominator == 2:
-        num, den = base.numerator, base.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd) ** fs.numerator
-        return None
+        return num, den, fs.numerator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return rn, rd, fs.numerator
     return None
 
 
 def _pow(base: Number, s: float) -> Number:
     if isinstance(base, Fraction):
-        exact = _exact_pow(base, s)
+        exact = _exact_base(base, _exact_exponent(s))
         if exact is not None:
-            return exact
+            a, b, k = exact
+            return Fraction(a, b) ** k
         return float(base) ** s
     return float(base) ** s
 
@@ -93,34 +106,33 @@ def kannan_rate_terms(
     """
     if not (s > 0.0):
         raise InputError(f"exponent s must be positive, got {s}")
+    fs = _exact_exponent(s)
     factor: Number = 1
     if with_2s_factor:
-        fs = Fraction(s).limit_denominator(10**6)
-        if fs.denominator == 1 and float(fs) == float(s):
-            factor = Fraction(2) ** int(fs)
-        else:
-            factor = 2.0**s
+        factor = Fraction(2) ** int(fs) if fs is not None and fs.denominator == 1 else 2.0**s
+    # with d^s = (a/b)^k, the exact term is factor a^k / (b^k - a^k)
+    exact_factor = factor.numerator if isinstance(factor, (int, Fraction)) else None
     terms: list[Number] = []
     for d in deltas:
         if isinstance(d, Fraction):
             if not (0 <= d < 1):
                 raise InputError(f"delta must lie in [0, 1), got {d}")
-            ds = _pow(d, s)
+            exact = _exact_base(d, fs)
+            if exact is not None:
+                a, b, k = exact
+                ak = a**k
+                if exact_factor is not None:
+                    terms.append(Fraction(exact_factor * ak, b**k - ak))
+                else:
+                    terms.append(float(factor) * (ak / (b**k - ak)))
+                continue
+            ds = float(d) ** s
         else:
             df = float(d)
             if not (0.0 <= df < 1.0):
                 raise InputError(f"delta must lie in [0, 1), got {d!r}")
             ds = df**s
-        if isinstance(ds, Fraction):
-            ratio: Number = ds / (1 - ds)
-        else:
-            ratio = ds / (1.0 - ds)
-        if isinstance(factor, Fraction) and isinstance(ratio, Fraction):
-            terms.append(factor * ratio)
-        elif isinstance(factor, int) and isinstance(ratio, Fraction):
-            terms.append(factor * ratio)
-        else:
-            terms.append(float(factor) * float(ratio))
+        terms.append(float(factor) * float(ds / (1.0 - ds)))
     return RateSequence(tuple(terms), provenance=f"delta^s/(1-delta^s), s={s}, factor2s={with_2s_factor}")
 
 
@@ -187,22 +199,11 @@ def certify_alpha_series(
         raise InputError(f"lambda grid must lie strictly inside (0, 1), got {lambda_grid!r}")
     terms = seq.terms
     H = len(terms)
-    all_fraction = all(isinstance(t, Fraction) for t in terms)
-
-    prefix: list[Number] = []
-    acc: Number = Fraction(0) if all_fraction else 0.0
-    for t in terms:
-        acc = acc + t if all_fraction else float(acc) + float(t)
-        prefix.append(acc)
+    prefix = _ExactPrefix(terms) if all(isinstance(t, Fraction) for t in terms) else _FloatPrefix(terms)
 
     candidates: list[tuple[int, float]] = []
     for lam in grid:
-        lam_cmp: Number = Fraction(lam).limit_denominator(10**9) if all_fraction else lam
-        last_violation = 0
-        for L in range(1, H + 1):
-            if prefix[L - 1] > lam_cmp * L:
-                last_violation = L
-        n0 = last_violation + 1
+        n0 = prefix.last_violation(lam) + 1
         if n0 <= H // 2:
             candidates.append((n0, lam))
     if candidates:
@@ -210,22 +211,99 @@ def certify_alpha_series(
         return AlphaSeriesCertificate("certified", lam, n0, H)
 
     lam_max = grid[-1]
-    lam_max_cmp: Number = Fraction(lam_max).limit_denominator(10**9) if all_fraction else lam_max
-    averages = [float(prefix[L - 1]) / L for L in range(1, H + 1)]
     window = max(2, min(50, H // 4))
-    tail = averages[-window:]
+    tail = [prefix.average(L) for L in range(max(1, H - window + 1), H + 1)]
     descending = all(tail[i + 1] < tail[i] for i in range(len(tail) - 1))
-    if descending and averages[-1] > float(lam_max):
+    if descending and tail[-1] > float(lam_max):
         return AlphaSeriesCertificate("inconclusive", None, None, H)
-    witness = None
-    for L in range(H, 0, -1):
-        if prefix[L - 1] > lam_max_cmp * L:
-            witness = L
-            break
-    if witness is None:
+    witness = prefix.last_violation(lam_max)
+    if witness == 0:
         # every grid value fails only on kick-in speed, not on the tail
         return AlphaSeriesCertificate("inconclusive", None, None, H)
     return AlphaSeriesCertificate("refuted_at_horizon", None, None, H, witness_L=witness)
+
+
+class _FloatPrefix:
+    """Float prefix sums of a sequence, compared against lam * L in floats."""
+
+    def __init__(self, terms: Sequence[Number]):
+        acc = 0.0
+        sums = []
+        for t in terms:
+            acc = acc + float(t)
+            sums.append(acc)
+        self.sums = np.array(sums)
+
+    def average(self, L: int) -> float:
+        return float(self.sums[L - 1]) / L
+
+    def last_violation(self, lam: float) -> int:
+        """The largest L with sum_{i<=L} a_i > lam L, or 0 when there is none."""
+        return _last(self.sums > lam * np.arange(1, len(self.sums) + 1))
+
+
+class _ExactPrefix:
+    """Exact prefix sums P_L of an all-Fraction sequence, against lam's rational form p/q.
+
+    The screen is the running float sum of the correctly rounded terms over
+    L.  Adding L nonnegative floats in order is off by less than L u
+    relative (u = 2^-53, the unit roundoff), so where the screen clears p/q
+    by the margin, P_L > p/q L is decided.  Where it does not, the integer
+    comparison P_num q > p L P_den decides, on exact prefix sums that are
+    added up once, in order, only as far as such a comparison needs.
+    Underflow costs at most 2^-1075 per term, far below the margin of any
+    p/q >= 1e-9; p = 0 is screened only by a positive sum, and a term past
+    the float range screens as inf, which exceeds every p/q L.
+    """
+
+    def __init__(self, terms: Sequence[Fraction]):
+        self.terms = terms
+        H = len(terms)
+        rounded = np.array([_quotient(t.numerator, t.denominator) for t in terms])
+        self.screen = np.cumsum(rounded) / np.arange(1, H + 1)
+        # L u for the sum, a few u for the division and for p/q, and a floor
+        self.margin = 1e-12 + 4.0 * H * 2.0**-53
+        self.sums: list[Fraction] = []
+
+    def _sum(self, L: int) -> Fraction:
+        acc = self.sums[-1] if self.sums else Fraction(0)
+        for t in self.terms[len(self.sums):L]:
+            acc += t
+            self.sums.append(acc)
+        return self.sums[L - 1]
+
+    def average(self, L: int) -> float:
+        return float(self._sum(L)) / L
+
+    def last_violation(self, lam: float) -> int:
+        """The largest L with P_L > lam L, or 0 when there is none."""
+        lam_q = Fraction(lam).limit_denominator(10**9)
+        p, q = lam_q.numerator, lam_q.denominator
+        b = p / q
+        above = self.screen > b * (1.0 + self.margin)
+        last = _last(above)
+        close = np.flatnonzero(~above & ~(self.screen < b * (1.0 - self.margin)))
+        for i in close[::-1].tolist():
+            if i < last:
+                break
+            P = self._sum(i + 1)
+            if P.numerator * q > p * (i + 1) * P.denominator:
+                return i + 1
+        return last
+
+
+def _last(mask: np.ndarray) -> int:
+    """1 + the index of the last True entry, or 0 when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[-1]) + 1 if len(hits) else 0
+
+
+def _quotient(n: int, d: int) -> float:
+    """n / d correctly rounded, as float(Fraction(n, d)); inf where that overflows."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

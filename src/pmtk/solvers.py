@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +42,9 @@ from .spaces import (
     SpaceDescriptor,
     as_point,
     chebyshev,
+    domain_point,
     eval_distance,
+    eval_row,
     self_distance,
 )
 
@@ -379,6 +382,13 @@ def verify_bound(
     theo: list[float] = []
     emp: list[float] = []
     scale = K * seed_dist / (1.0 - rate)
+    # each iterate passes the domain check once, on first use
+    points: list[Point | None] = [None] * (N + 1)
+
+    def point(i: int) -> Point:
+        points[i] = domain_point(space, trace.iterates[i])
+        return points[i]
+
     for e in range(0, N, 2):
         later = range(e + 1, N + 1)
         if N - e > 400:
@@ -386,7 +396,14 @@ def verify_bound(
             later = list(range(e + 1, N + 1, stride))
             if later[-1] != N:
                 later.append(N)
-        observed = max(eval_distance(space, trace.iterates[e], trace.iterates[m]) for m in later)
+        x = points[e] or point(e)
+        try:
+            ys = [points[m] or point(m) for m in later]
+        except InputError:
+            # a pair-by-pair loop evaluates the pairs before the failing iterate first
+            eval_row(space, x, list(takewhile(bool, (points[m] for m in later))))
+            raise
+        observed = max(eval_row(space, x, ys))
         indices.append(e)
         theo.append(scale * rate**e)
         emp.append(observed)

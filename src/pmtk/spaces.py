@@ -96,6 +96,8 @@ class Box:
                 raise InputError(f"bad interval bounds {b!r}") from exc
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
                 raise InputError(f"bad interval bounds {b!r}")
+            if not math.isfinite(hi - lo):
+                raise InputError(f"interval width overflows a float in {b!r}")
             norm.append((lo, hi, bool(olo), bool(ohi)))
         if not norm:
             raise InputError("a domain needs at least one axis")
@@ -346,13 +348,37 @@ def eval_distance(space: SpaceDescriptor, x, y) -> float:
     px = as_point(x, space.dim)
     py = as_point(y, space.dim)
     if not space.domain.contains(px):
-        raise DomainError(f"point {px.coords} outside domain {space.domain.to_json()}")
+        raise domain_error(space, px.coords)
     if not space.domain.contains(py):
-        raise DomainError(f"point {py.coords} outside domain {space.domain.to_json()}")
+        raise domain_error(space, py.coords)
     v = space.oracle.fn(px, py)
-    if not math.isfinite(v) or v < 0.0:
-        raise OracleValueError(f"oracle returned invalid distance {v!r} at {px.coords}, {py.coords}")
+    if _invalid_distance(v):
+        raise oracle_value_error(v, px.coords, py.coords)
     return v
+
+
+def domain_point(space: SpaceDescriptor, value) -> Point:
+    """as_point, then the domain check of eval_distance, for one point."""
+    p = as_point(value, space.dim)
+    if not space.domain.contains(p):
+        raise domain_error(space, p.coords)
+    return p
+
+
+def eval_row(space: SpaceDescriptor, x: Point, ys: Sequence[Point]) -> list:
+    """eval_distance(space, x, y) for each y, on points that passed domain_point.
+
+    The oracle runs once per y, in order; the output check of eval_distance
+    runs once over the row and names the first invalid pair.
+    """
+    fn = space.oracle.fn
+    values = [fn(x, y) for y in ys]
+    # a finite sum rules out nan and inf, and the minimum rules out negatives
+    if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):
+        for v, y in zip(values, ys):
+            if _invalid_distance(v):
+                raise oracle_value_error(v, x.coords, y.coords)
+    return values
 
 
 def eval_terms(space: SpaceDescriptor, rows: np.ndarray, terms: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -367,8 +393,7 @@ def eval_terms(space: SpaceDescriptor, rows: np.ndarray, terms: Sequence[tuple[i
         raise InputError(f"expected a {space.dim}-dimensional point, got {tuple(flat[0].tolist())!r}")
     outside = ~space.domain.contains_rows(flat)
     if outside.any():
-        coords = tuple(flat[outside][0].tolist())
-        raise DomainError(f"point {coords} outside domain {space.domain.to_json()}")
+        raise domain_error(space, tuple(flat[outside][0].tolist()))
     fn = space.oracle.fn
     values = np.fromiter(
         (fn(t[a], t[b]) for t in _point_tuples(rows) for a, b in terms),
@@ -379,11 +404,20 @@ def eval_terms(space: SpaceDescriptor, rows: np.ndarray, terms: Sequence[tuple[i
     if bad.any():
         i, j = np.argwhere(bad)[0]
         a, b = terms[j]
-        raise OracleValueError(
-            f"oracle returned invalid distance {float(values[i, j])!r} at "
-            f"{tuple(rows[i, a].tolist())}, {tuple(rows[i, b].tolist())}"
-        )
+        raise oracle_value_error(float(values[i, j]), tuple(rows[i, a].tolist()), tuple(rows[i, b].tolist()))
     return values
+
+
+def _invalid_distance(v) -> bool:
+    return not math.isfinite(v) or v < 0.0
+
+
+def domain_error(space: SpaceDescriptor, coords: tuple[float, ...]) -> DomainError:
+    return DomainError(f"point {coords} outside domain {space.domain.to_json()}")
+
+
+def oracle_value_error(v, x: tuple[float, ...], y: tuple[float, ...]) -> OracleValueError:
+    return OracleValueError(f"oracle returned invalid distance {v!r} at {x}, {y}")
 
 
 def self_distance(space: SpaceDescriptor, x) -> float:

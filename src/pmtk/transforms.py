@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .axioms import check_metric_type, check_pm1, check_pm2, check_pm3, check_pm4
+from .axioms import _Battery, check_metric_type, check_pm4
 from .errors import ConstructionError, InputError
 from .spaces import (
     DEFAULT_TOL,
@@ -32,7 +32,10 @@ def _default_check_sampler(space: SpaceDescriptor, seed: int = 0) -> Sampler:
 
 
 def _require_weighted_core(space: SpaceDescriptor, sampler: Sampler, tol: float, what: str) -> None:
-    for check in (check_pm1(space, sampler, tol), check_pm2(space, sampler, tol), check_pm3(space, sampler, tol)):
+    # one evaluation plan: pm1, pm2 and pm3 share the pair stream and its distances
+    battery = _Battery(space, sampler, tol)
+    for run in (battery.pm1, battery.pm2, lambda: battery.symmetry("pm3")):
+        check = run()
         if not check.passed:
             w = check.witnesses[0]
             raise InputError(

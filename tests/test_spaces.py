@@ -103,6 +103,17 @@ def test_box_rejects_degenerate_intervals():
         Box(((0.0, float("inf"), False, False),))
 
 
+def test_box_rejects_bounds_whose_width_overflows():
+    # such a box made the sampler warn about overflow and draw nan coordinates
+    with pytest.raises(InputError, match="width overflows"):
+        Box.closed(-1e308, 1e308)
+    with pytest.raises(InputError, match="width overflows"):
+        Box(((0.0, 1.0, False, False), (-1.7e308, 1.7e308, True, True)))
+    widest = Box.closed(-8e307, 8e307)
+    points = Sampler(seed=0, region=widest, grid_density=4, random_count=4).points(4)
+    assert len(points) == 4 and all(widest.contains(p) for p in points)
+
+
 def test_effective_bounds_shrinks_only_open_sides():
     b = Box(((0.0, 1.0, True, False),))
     (lo, hi), = b.effective_bounds(1e-3)

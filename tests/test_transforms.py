@@ -4,6 +4,7 @@ import pytest
 
 from pmtk.errors import InputError
 from pmtk.spaces import (
+    DEFAULT_TOL,
     Box,
     Sampler,
     SpaceClass,
@@ -14,6 +15,8 @@ from pmtk.spaces import (
 )
 from pmtk.transforms import (
     TransformSpec,
+    _default_check_sampler,
+    _require_weighted_core,
     apply_transform,
     from_metric_with_basepoint,
     induced_dp,
@@ -81,6 +84,46 @@ def test_pt_rejects_asymmetric_input():
     sp = make_space(oracle_from_callable(lambda a, b: a))
     with pytest.raises(InputError, match="pm3"):
         to_pt(sp)
+
+
+def counting_space(fn):
+    calls = []
+    oracle = build_oracle({"op": "max"}) if fn is None else oracle_from_callable(fn)
+    counted = type(oracle)(fn=lambda x, y: calls.append(1) or oracle.fn(x, y), spec=oracle.spec)
+    return make_space(counted, claim=SpaceClass.PARTIAL_B_METRIC), calls
+
+
+def test_weighted_core_checks_share_one_evaluation_plan():
+    # 256 points evaluated twice for pm1's determinism probe, then the 600
+    # pairs of the 600-draw sampler evaluated at (x,x), (y,y), (x,y), (y,x)
+    # once for pm1, pm2 and pm3 together: 512 + 2,400 calls, not 7,712
+    sp, calls = counting_space(None)
+    _require_weighted_core(sp, _default_check_sampler(sp), DEFAULT_TOL, "the test")
+    assert len(calls) == 2 * 256 + 4 * 600 == 2_912
+    calls.clear()
+    to_pt(sp)
+    assert len(calls) == 2_912
+
+
+def test_weighted_core_reports_the_first_failing_axiom():
+    # the messages the three checks gave when each ran on its own plan
+    first = "the weighted-to-unweighted transform needs axiom "
+    cases = [
+        # a plateau of ones (pm1) that is also asymmetric (pm3)
+        (lambda a, b: 1.0 + (a > b), "pm1 on the input; violated at ((0.0,), (0.058823529411764705,)) "
+                                     "(lhs=1.0, rhs=1.0)"),
+        # large self-distances (pm2) that are also asymmetric (pm3)
+        (lambda a, b: 2.0 * a + 0.5 * b, "pm2 on the input; violated at ((0.058823529411764705,), (0.0,)) "
+                                         "(lhs=0.14705882352941177, rhs=0.11764705882352941)"),
+        (lambda a, b: 1.0 + a, "pm3 on the input; violated at ((0.058823529411764705,), (0.0,)) "
+                               "(lhs=1.0588235294117647, rhs=1.0)"),
+    ]
+    for fn, message in cases:
+        sp, calls = counting_space(fn)
+        with pytest.raises(InputError) as err:
+            to_pt(sp)
+        assert str(err.value) == first + message
+        assert len(calls) == 2_912
 
 
 def test_pt_rejects_unserializable_oracle():
