@@ -20,12 +20,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import __version__
-from .axioms import build_report, classify
+from .axioms import build_report
 from .errors import ConstructionError, InputError, PmtkError, UsageError
 from .fixtures import FIXTURE_NAMES, get_fixture, run_fixture
 from .series import (
@@ -41,6 +40,7 @@ from .solvers import (
     PhiFunction,
     PsiFunction,
     RelaxedCnGate,
+    penalty_arity,
     phi_identity,
     phi_power,
     phi_sqrt,
@@ -58,10 +58,11 @@ from .spaces import (
     Sampler,
     SelfMap,
     SpaceDescriptor,
+    dump_json,
     load_space,
     save_space,
     space_to_json,
-    write_json_atomic,
+    write_text_atomic,
 )
 from .transforms import TransformSpec, apply_transform
 
@@ -98,23 +99,6 @@ def _resolve_seed(value: int | None) -> int:
         return int(env)
     except ValueError as exc:
         raise InputError(f"PMT_SEED must be an integer, got {env!r}") from exc
-
-
-def _write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -167,10 +151,7 @@ def _family_from_spec(spec: dict) -> MapFamily:
         base = float(spec["base"])
         if not (base > 1.0):
             raise InputError(f"geometric family base must exceed 1, got {base}")
-        return MapFamily(
-            generator=lambda i: SelfMap.scalar(lambda t, i=i: t * base**-i, label=f"T_{i}"),
-            label=f"geometric{base:g}",
-        )
+        return MapFamily.geometric(base, f"geometric{base:g}")
     if kind == "fixture":
         fx = get_fixture(spec["name"])
         if not isinstance(fx.maps, MapFamily):
@@ -244,15 +225,11 @@ def _gate_from_spec(spec: dict):
     raise InputError(f"unknown gate kind {kind!r} (expected alpha-series or relaxed-cn)")
 
 
-def _const_weight(value: float) -> Callable:
-    return lambda x, y: value
-
-
-def _weight_from_spec(spec: dict, name: str) -> tuple[Callable, float]:
+def _weight_from_spec(spec: dict, name: str) -> Callable:
     if spec.get("kind") != "const":
         raise InputError(f"{name} weight must be {{'kind': 'const', 'value': ...}} for now")
     value = float(spec["value"])
-    return _const_weight(value), value
+    return lambda x, y: value
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +271,9 @@ def _cmd_check(args) -> int:
     )
     report = build_report(space, sampler, chain_mode=args.chain_mode, with_labels=args.classify)
     doc = {"meta": _meta(seed, space), "report": report.to_json_dict()}
-    text = _dump(doc)
+    text = dump_json(doc)
     if args.out:
-        _write_text_atomic(args.out, text)
+        write_text_atomic(args.out, text)
     sys.stdout.write(text)
     return EXIT_OK if report.claim_supported else EXIT_CHECK_FAILED
 
@@ -311,7 +288,7 @@ def _cmd_transform(args) -> int:
     derived = apply_transform(space, spec, sampler)
     save_space(derived, args.out)
     doc = {"meta": _meta(seed, derived), "space": space_to_json(derived), "written": args.out}
-    sys.stdout.write(_dump(doc))
+    sys.stdout.write(dump_json(doc))
     return EXIT_OK
 
 
@@ -331,9 +308,9 @@ def _cmd_series(args) -> int:
     grid = tuple(_parse_floats(args.grid)) if args.grid else DEFAULT_LAMBDA_GRID
     cert = certify_alpha_series(seq, grid)
     doc = {"meta": _meta(None), "certificate": cert.to_json_dict(), "horizon": seq.horizon}
-    text = _dump(doc)
+    text = dump_json(doc)
     if args.out:
-        _write_text_atomic(args.out, text)
+        write_text_atomic(args.out, text)
     sys.stdout.write(text)
     if cert.status == "certified":
         return EXIT_OK
@@ -363,11 +340,9 @@ def _solve_from_config(space: SpaceDescriptor, scheme: str, cfg: dict, x0) -> Fi
         return solve_pair_kannan(space, T1, T2, x0, float(cfg["k"]), **common)
     if scheme == "admissible":
         T = _map_from_spec(cfg["T"], "T")
-        alpha, _ = _weight_from_spec(cfg["alpha"], "alpha")
-        beta, _ = _weight_from_spec(cfg["beta"], "beta")
         config = AdmissibilityConfig(
-            alpha=alpha,
-            beta=beta,
+            alpha=_weight_from_spec(cfg["alpha"], "alpha"),
+            beta=_weight_from_spec(cfg["beta"], "beta"),
             C_alpha=float(cfg["C_alpha"]),
             C_beta=float(cfg["C_beta"]),
         )
@@ -378,9 +353,8 @@ def _solve_from_config(space: SpaceDescriptor, scheme: str, cfg: dict, x0) -> Fi
         delta = _delta_from_spec(cfg["delta"])
         gate = _gate_from_spec(cfg.get("gate", {"kind": "relaxed-cn"}))
         inner_scheme = cfg.get("scheme", "kannan")
-        arity = 3 if "".join(c for c in inner_scheme.lower() if c.isalnum()) in ("kannan3", "chatterjea3") else 2
         gamma = float(cfg.get("gamma", 0.0))
-        psi = _psi_from_spec(cfg["psi"], arity) if "psi" in cfg else None
+        psi = _psi_from_spec(cfg["psi"], penalty_arity(inner_scheme)) if "psi" in cfg else None
         return solve_family(
             space,
             family,
@@ -410,11 +384,11 @@ def _cmd_solve(args) -> int:
         raise UsageError("solve needs --x0 or an x0 entry in the config")
     report = _solve_from_config(space, args.scheme, cfg, x0)
     doc = {"meta": _meta(seed, space), "scheme": args.scheme, "report": report.to_json_dict()}
-    text = _dump(doc)
+    text = dump_json(doc)
     if args.report_out:
-        _write_text_atomic(args.report_out, text)
+        write_text_atomic(args.report_out, text)
     if args.trace_out:
-        _write_text_atomic(args.trace_out, _trace_csv(report))
+        write_text_atomic(args.trace_out, _trace_csv(report))
     sys.stdout.write(text)
     if not report.converged:
         return EXIT_INCONCLUSIVE
@@ -435,7 +409,7 @@ def _cmd_fixtures(args) -> int:
         all_ok = all_ok and result["all_passed"]
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            _write_text_atomic(os.path.join(args.out, f"{name}.json"), _dump(result))
+            write_text_atomic(os.path.join(args.out, f"{name}.json"), dump_json(result))
         verdict = "ok" if result["all_passed"] else "FAILED"
         sys.stdout.write(f"{name}: {verdict}\n")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

@@ -106,86 +106,10 @@ def e5_delta(i: int, j: int) -> Fraction:
 # fixture construction
 
 
-def _e1_space() -> SpaceDescriptor:
-    oracle = build_oracle(
-        {
-            "op": "sum",
-            "args": [
-                {"op": "power", "base": {"op": "max"}, "q": 2},
-                {"op": "power", "base": {"op": "absdiff"}, "q": 2},
-            ],
-        }
-    )
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=4.0,
-        polygon_order_n=1,
-        domain=Box.closed(0.0, 10.0),
-        class_claim=SpaceClass.PARTIAL_B_METRIC,
-        complete_asserted=True,
-    )
-
-
-def _e2_space() -> SpaceDescriptor:
-    oracle = build_oracle(
-        {"op": "affine", "arg": {"op": "power", "base": {"op": "absdiff"}, "q": 2}, "offset": 2.0}
-    )
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=2.0,
-        polygon_order_n=1,
-        domain=Box.open(0.0, 1.0),
-        class_claim=SpaceClass.PARTIAL_B_METRIC,
-        complete_asserted=False,
-    )
-
-
-def _e3_space() -> SpaceDescriptor:
-    oracle = build_oracle({"op": "power", "base": {"op": "max"}, "q": 2})
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=2.0,
-        polygon_order_n=1,
-        domain=Box.closed(0.0, 1.0),
-        class_claim=SpaceClass.PARTIAL_B_METRIC,
-    )
-
-
-def _e4_space() -> SpaceDescriptor:
-    oracle = build_oracle({"op": "power", "base": {"op": "absdiff"}, "q": 2})
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=2.0,
-        polygon_order_n=1,
-        domain=Box.closed(0.0, 1.0),
-        class_claim=SpaceClass.PARTIAL_B_METRIC,
-    )
-
-
-def _e5_space() -> SpaceDescriptor:
-    oracle = build_oracle({"op": "absdiff"})
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=1.0,
-        polygon_order_n=1,
-        domain=Box.closed(0.0, 1.0),
-        class_claim=SpaceClass.PARTIAL_B_METRIC,
-        hausdorff_asserted=True,
-    )
-
-
-def _e3_family() -> MapFamily:
-    return MapFamily(
-        generator=lambda i: SelfMap.scalar(lambda t, i=i: t * 16.0**-i, label=f"T_{i}"),
-        label="scale16",
-    )
-
-
-def _e4_family() -> MapFamily:
-    return MapFamily(
-        generator=lambda i: SelfMap.scalar(lambda t, i=i: t * 4.0**-i, label=f"T_{i}"),
-        label="scale4",
-    )
+def _fixture_space(oracle_spec, K: float, domain: Box, **flags) -> SpaceDescriptor:
+    # every fixture claims an order-1 partial b-metric
+    return SpaceDescriptor(oracle=build_oracle(oracle_spec), coeff_K=K, polygon_order_n=1, domain=domain,
+                           class_claim=SpaceClass.PARTIAL_B_METRIC, **flags)
 
 
 def _e5_jump(i: int) -> SelfMap:
@@ -215,7 +139,18 @@ def get_fixture(name: str) -> Fixture:
     if name == "E1-maxpow":
         return Fixture(
             name=name,
-            space=_e1_space(),
+            space=_fixture_space(
+                {
+                    "op": "sum",
+                    "args": [
+                        {"op": "power", "base": {"op": "max"}, "q": 2},
+                        {"op": "power", "base": {"op": "absdiff"}, "q": 2},
+                    ],
+                },
+                4.0,
+                Box.closed(0.0, 10.0),
+                complete_asserted=True,
+            ),
             maps=(SelfMap.scalar(lambda t: 0.25 * t, label="quarter"),) * 2,
             scheme_config={"scheme": "banach-pair", "k": 1.0 / 16.0, "x0": 10.0},
             expected={
@@ -230,7 +165,12 @@ def get_fixture(name: str) -> Fixture:
     if name == "E2-open-interval":
         return Fixture(
             name=name,
-            space=_e2_space(),
+            space=_fixture_space(
+                {"op": "affine", "arg": {"op": "power", "base": {"op": "absdiff"}, "q": 2}, "offset": 2.0},
+                2.0,
+                Box.open(0.0, 1.0),
+                complete_asserted=False,
+            ),
             maps=None,
             scheme_config={"sequence": "half-reciprocal", "length": 200, "window": 20},
             expected={
@@ -246,8 +186,8 @@ def get_fixture(name: str) -> Fixture:
     if name == "E3-kannan-family":
         return Fixture(
             name=name,
-            space=_e3_space(),
-            maps=_e3_family(),
+            space=_fixture_space({"op": "power", "base": {"op": "max"}, "q": 2}, 2.0, Box.closed(0.0, 1.0)),
+            maps=MapFamily.geometric(16.0, "scale16"),
             scheme_config={
                 "scheme": "kannan3",
                 "gauge": "sqrt",
@@ -269,8 +209,8 @@ def get_fixture(name: str) -> Fixture:
     if name == "E4-relaxed-family":
         return Fixture(
             name=name,
-            space=_e4_space(),
-            maps=_e4_family(),
+            space=_fixture_space({"op": "power", "base": {"op": "absdiff"}, "q": 2}, 2.0, Box.closed(0.0, 1.0)),
+            maps=MapFamily.geometric(4.0, "scale4"),
             scheme_config={
                 "scheme": "kannan",
                 "gauge": "sqrt",
@@ -290,7 +230,7 @@ def get_fixture(name: str) -> Fixture:
     if name == "E5-chatterjea-family":
         return Fixture(
             name=name,
-            space=_e5_space(),
+            space=_fixture_space({"op": "absdiff"}, 1.0, Box.closed(0.0, 1.0), hausdorff_asserted=True),
             maps=_e5_family(),
             scheme_config={
                 "scheme": "chatterjea",

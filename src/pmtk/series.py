@@ -273,7 +273,8 @@ class _ExactPrefix:
         return self.sums[L - 1]
 
     def average(self, L: int) -> float:
-        return float(self._sum(L)) / L
+        P = self._sum(L)
+        return _quotient(P.numerator, P.denominator) / L
 
     def last_violation(self, lam: float) -> int:
         """The largest L with P_L > lam L, or 0 when there is none."""

@@ -21,14 +21,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, GateError, InputError
 from .series import (
     DEFAULT_LAMBDA_GRID,
-    RateSequence,
     certify_alpha_series,
     check_relaxed_hypotheses,
     kannan_rate_terms,
@@ -36,12 +35,12 @@ from .series import (
 )
 from .spaces import (
     DEFAULT_TOL,
+    OPEN_ENDPOINT_MARGIN,
     MapFamily,
     Point,
     SelfMap,
     SpaceDescriptor,
     as_point,
-    chebyshev,
     domain_point,
     eval_distance,
     eval_row,
@@ -421,8 +420,62 @@ def _worst(log: list[HypothesisEntry]) -> float | None:
     return min((e.slack for e in log), default=None)
 
 
+def _residuals(space: SpaceDescriptor, x: Point, maps: Iterable[tuple[str, SelfMap]]) -> dict[str, float]:
+    return {name: residual(space, x, T) for name, T in maps}
+
+
+def _report(
+    space: SpaceDescriptor,
+    orbit: tuple[IterationTrace, list[HypothesisEntry], bool],
+    rate: float,
+    maps: Iterable[tuple[str, SelfMap]],
+    scheme: str,
+    **assumptions,
+) -> FixedPointReport:
+    """The report of a solver whose envelope is verify_bound's at the given rate."""
+    trace, log, violated = orbit
+    bound = None
+    if trace.converged and trace.step_dist:
+        bound = verify_bound(space, trace, space.coeff_K, rate, trace.step_dist[0])
+    return FixedPointReport(
+        point=trace.final,
+        residuals=_residuals(space, trace.final, maps),
+        trace=trace,
+        bound_check=bound,
+        hypothesis_log=tuple(log),
+        worst_slack=_worst(log),
+        assumptions={"complete_asserted": space.complete_asserted, **assumptions},
+        extras={"scheme": scheme, "hypothesis_violated": violated},
+    )
+
+
 # ---------------------------------------------------------------------------
 # alternating pair solvers
+
+
+def _pair_orbit(
+    space: SpaceDescriptor,
+    T1: SelfMap,
+    T2: SelfMap,
+    x0,
+    label: str,
+    rhs: Callable[[float, float], float],
+    step_tol: float,
+    max_iter: int,
+    halt_on_violation: bool,
+) -> tuple[IterationTrace, list[HypothesisEntry], bool]:
+    """The orbit of T1 at odd steps and T2 at even steps.
+
+    From step 2 on, each step logs the hypothesis label with the last step
+    distance as lhs and rhs(last step, the step before) as rhs.
+    """
+
+    def hyp(m: int, xs: list[Point], steps: list[float]) -> list[HypothesisEntry]:
+        if m < 2:
+            return []
+        return [HypothesisEntry(m, label, steps[-1], rhs(steps[-1], steps[-2]))]
+
+    return _run_orbit(space, x0, lambda m: T1 if m % 2 == 1 else T2, hyp, step_tol, max_iter, halt_on_violation)
 
 
 def solve_pair_banach(
@@ -442,36 +495,9 @@ def solve_pair_banach(
     """
     if not (0.0 <= k < 1.0):
         raise InputError(f"contraction constant must lie in [0, 1), got {k}")
-
-    def step_map(m: int) -> SelfMap:
-        return T1 if m % 2 == 1 else T2
-
-    def hyp(m: int, xs: list[Point], steps: list[float]) -> list[HypothesisEntry]:
-        if m < 2:
-            return []
-        return [HypothesisEntry(m, "step-contraction", steps[-1], k * steps[-2])]
-
-    trace, log, violated = _run_orbit(
-        space, x0, step_map, hyp, step_tol, max_iter, halt_on_violation
-    )
-    bound = None
-    if trace.converged and trace.step_dist:
-        bound = verify_bound(space, trace, space.coeff_K, k, trace.step_dist[0])
-    final = trace.final
-    report = FixedPointReport(
-        point=final,
-        residuals={"T1": residual(space, final, T1), "T2": residual(space, final, T2)},
-        trace=trace,
-        bound_check=bound,
-        hypothesis_log=tuple(log),
-        worst_slack=_worst(log),
-        assumptions={
-            "complete_asserted": space.complete_asserted,
-            "contraction_constant": k,
-        },
-        extras={"scheme": "banach-pair", "hypothesis_violated": violated},
-    )
-    return report
+    orbit = _pair_orbit(space, T1, T2, x0, "step-contraction", lambda last, prev: k * prev,
+                        step_tol, max_iter, halt_on_violation)
+    return _report(space, orbit, k, (("T1", T1), ("T2", T2)), "banach-pair", contraction_constant=k)
 
 
 def solve_pair_power(
@@ -496,10 +522,7 @@ def solve_pair_power(
     report = solve_pair_banach(space, S1, S2, x0, k, step_tol, max_iter, halt_on_violation)
     report.extras["scheme"] = "banach-pair-power"
     report.extras["powers"] = [r1, r2]
-    report.extras["original_residuals"] = {
-        "T1": residual(space, report.point, T1),
-        "T2": residual(space, report.point, T2),
-    }
+    report.extras["original_residuals"] = _residuals(space, report.point, (("T1", T1), ("T2", T2)))
     return report
 
 
@@ -523,36 +546,10 @@ def solve_pair_kannan(
             f"displacement constant must lie in [0, {cap}) for coefficient {space.coeff_K}, got {k}"
         )
     h = k / (1.0 - k)
-
-    def step_map(m: int) -> SelfMap:
-        return T1 if m % 2 == 1 else T2
-
-    def hyp(m: int, xs: list[Point], steps: list[float]) -> list[HypothesisEntry]:
-        if m < 2:
-            return []
-        return [HypothesisEntry(m, "displacement-sum", steps[-1], k * (steps[-1] + steps[-2]))]
-
-    trace, log, violated = _run_orbit(
-        space, x0, step_map, hyp, step_tol, max_iter, halt_on_violation
-    )
-    bound = None
-    if trace.converged and trace.step_dist:
-        bound = verify_bound(space, trace, space.coeff_K, h, trace.step_dist[0])
-    final = trace.final
-    return FixedPointReport(
-        point=final,
-        residuals={"T1": residual(space, final, T1), "T2": residual(space, final, T2)},
-        trace=trace,
-        bound_check=bound,
-        hypothesis_log=tuple(log),
-        worst_slack=_worst(log),
-        assumptions={
-            "complete_asserted": space.complete_asserted,
-            "displacement_constant": k,
-            "envelope_rate": h,
-        },
-        extras={"scheme": "kannan-pair", "hypothesis_violated": violated},
-    )
+    orbit = _pair_orbit(space, T1, T2, x0, "displacement-sum", lambda last, prev: k * (last + prev),
+                        step_tol, max_iter, halt_on_violation)
+    return _report(space, orbit, h, (("T1", T1), ("T2", T2)), "kannan-pair",
+                   displacement_constant=k, envelope_rate=h)
 
 
 # ---------------------------------------------------------------------------
@@ -627,28 +624,9 @@ def solve_admissible(
             )
         return entries
 
-    trace, log, violated = _run_orbit(
-        space, start, lambda m: T, hyp, step_tol, max_iter, halt_on_violation
-    )
-    bound = None
-    if trace.converged and trace.step_dist:
-        bound = verify_bound(space, trace, space.coeff_K, rate, trace.step_dist[0])
-    final = trace.final
-    return FixedPointReport(
-        point=final,
-        residuals={"T": residual(space, final, T)},
-        trace=trace,
-        bound_check=bound,
-        hypothesis_log=tuple(log),
-        worst_slack=_worst(log),
-        assumptions={
-            "complete_asserted": space.complete_asserted,
-            "alpha_floor": config.C_alpha,
-            "beta_ceiling": config.C_beta,
-            "envelope_rate": rate,
-        },
-        extras={"scheme": "admissible", "hypothesis_violated": violated},
-    )
+    orbit = _run_orbit(space, start, lambda m: T, hyp, step_tol, max_iter, halt_on_violation)
+    return _report(space, orbit, rate, (("T", T),), "admissible",
+                   alpha_floor=config.C_alpha, beta_ceiling=config.C_beta, envelope_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +652,21 @@ class RelaxedCnGate:
 _SCHEMES = ("kannan", "kannan3", "chatterjea", "chatterjea3")
 
 
+def _scheme_key(name: str) -> str:
+    return "".join(ch for ch in name.lower() if ch.isalnum())
+
+
 def _normalize_scheme(name: str) -> str:
-    key = "".join(ch for ch in name.lower() if ch.isalnum())
+    key = _scheme_key(name)
     for scheme in _SCHEMES:
         if key == scheme:
             return scheme
     raise InputError(f"unknown family scheme {name!r}; expected one of {_SCHEMES}")
+
+
+def penalty_arity(scheme: str) -> int:
+    """How many arguments a family scheme's penalty psi takes: 3 for the three-term schemes, else 2."""
+    return 3 if _scheme_key(scheme) in ("kannan3", "chatterjea3") else 2
 
 
 def solve_family(
@@ -709,7 +696,7 @@ def solve_family(
     at the limit expose which family members share the fixed point.
     """
     scheme = _normalize_scheme(scheme)
-    arity = 3 if scheme in ("kannan3", "chatterjea3") else 2
+    arity = penalty_arity(scheme)
     if gamma < 0.0:
         raise InputError(f"penalty weight must be nonnegative, got {gamma}")
     if gamma > 0.0 and psi is None:
@@ -784,13 +771,7 @@ def solve_family(
         bound = BoundCheck(indices, theo, emp, ok, "F(step_n) <= C_n F(step_0), C_n the running rate product")
 
     final = trace.final
-    residuals: dict[str, float] = {}
-    noncommon: list[int] = []
-    for i in probes:
-        res = residual(space, final, family(i))
-        residuals[f"T_{i}"] = res
-        if res > DEFAULT_TOL:
-            noncommon.append(i)
+    residuals = _residuals(space, final, ((f"T_{i}", family(i)) for i in probes))
     return FixedPointReport(
         point=final,
         residuals=residuals,
@@ -808,7 +789,7 @@ def solve_family(
             "gate": gate_record,
             "power_r": r,
             "hypothesis_violated": violated,
-            "noncommon_probes": noncommon,
+            "noncommon_probes": [i for i in probes if residuals[f"T_{i}"] > DEFAULT_TOL],
         },
     )
 
@@ -827,10 +808,7 @@ class PerMapCheck:
 
 def _domain_grid(space: SpaceDescriptor, count: int) -> list[Point]:
     per_axis = max(2, round(count ** (1.0 / space.dim)))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in space.domain.effective_bounds(1e-6)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    stacked = np.stack([m.ravel() for m in mesh], axis=-1)
-    return [Point(tuple(float(c) for c in row)) for row in stacked.tolist()]
+    return [Point(tuple(row)) for row in space.domain.grid(per_axis, OPEN_ENDPOINT_MARGIN).tolist()]
 
 
 def uniqueness_scan(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence
@@ -136,6 +136,15 @@ class Box:
                 raise InputError(f"margin {margin} empties interval [{lo}, {hi}]")
             out.append((lo_e, hi_e))
         return tuple(out)
+
+    def grid_axes(self, density: int, margin: float) -> list[np.ndarray]:
+        """density evenly spaced values on each axis of effective_bounds(margin)."""
+        return [np.linspace(lo, hi, density) for lo, hi in self.effective_bounds(margin)]
+
+    def grid(self, density: int, margin: float) -> np.ndarray:
+        """Every combination of grid_axes(density, margin), as a (density**d, d) array, last axis fastest."""
+        mesh = np.meshgrid(*self.grid_axes(density, margin), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def to_json(self) -> list:
         return [[lo, hi, olo, ohi] for lo, hi, olo, ohi in self.bounds]
@@ -462,6 +471,11 @@ class MapFamily:
             raise InputError(f"family index must be a positive integer, got {index!r}")
         return self.generator(index)
 
+    @classmethod
+    def geometric(cls, base: float, label: str) -> "MapFamily":
+        """The scalar family T_i(t) = t * base**-i."""
+        return cls(generator=lambda i: SelfMap.scalar(lambda t: t * base**-i, label=f"T_{i}"), label=label)
+
 
 def check_selfmap_closure(space: SpaceDescriptor, m: SelfMap, sampler: "Sampler") -> list[Point]:
     """Sampled escape check: points whose image leaves the domain."""
@@ -503,9 +517,6 @@ class Sampler:
     def _rng(self, stream: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(stream,)))
 
-    def _axes(self, density: int) -> list[np.ndarray]:
-        return [np.linspace(lo, hi, density) for lo, hi in self.region.effective_bounds(self.margin)]
-
     def _grid_rows(self, tuple_len: int, count: int) -> np.ndarray:
         """Up to count grid tuples as a (take, tuple_len, d) array."""
         d = self.region.dim
@@ -513,7 +524,7 @@ class Sampler:
             return np.empty((0, tuple_len, d))
         dims = tuple_len * d
         g = max(2, math.ceil(count ** (1.0 / dims)))
-        axes = self._axes(g)
+        axes = self.region.grid_axes(g, self.margin)
         total = g**dims
         take = min(count, total)
         # evenly spaced flat indices keep boundary combinations in the sample
@@ -549,8 +560,7 @@ class Sampler:
     def point_array(self, count: int | None = None) -> np.ndarray:
         """The points() stream as an (N, d) coordinate array."""
         if count is None:
-            mesh = np.meshgrid(*self._axes(self.grid_density), indexing="ij")
-            grid = _finite(np.stack([m.ravel() for m in mesh], axis=-1)[:, None])
+            grid = _finite(self.region.grid(self.grid_density, self.margin)[:, None])
             return np.concatenate([grid, self._random_rows(1, self.random_count, stream=0)])[:, 0]
         return self._draw(1, count, stream=0)[:, 0]
 
@@ -652,19 +662,32 @@ def space_from_json(doc: Mapping) -> SpaceDescriptor:
     )
 
 
-def write_json_atomic(path: str, doc) -> None:
-    """Serialize to a temp file in the target directory, then rename."""
-    data = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def dump_json(doc) -> str:
+    """The text of every pmtk JSON output: sorted keys, two-space indent, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write to a temp file in the target directory, then rename it over path.
+
+    The temp file is created with mode 0o666 under the process umask, so the
+    output gets the permissions that open(path, "w") would give a new file.
+    """
+    # O_EXCL: a name collision fails instead of writing through someone else's file
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, doc) -> None:
+    write_text_atomic(path, dump_json(doc))
 
 
 def save_space(space: SpaceDescriptor, path: str) -> None:

@@ -9,10 +9,10 @@ the derived descriptor's provenance instead of failing the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Iterable
 
-from .axioms import _Battery, check_metric_type, check_pm4
+from .axioms import AxiomCheck, _Battery, _chain_lengths, check_metric_type, check_pm4
 from .errors import ConstructionError, InputError
 from .spaces import (
     DEFAULT_TOL,
@@ -31,34 +31,42 @@ def _default_check_sampler(space: SpaceDescriptor, seed: int = 0) -> Sampler:
     return Sampler(seed=seed, region=space.domain, grid_density=12, random_count=600)
 
 
-def _require_weighted_core(space: SpaceDescriptor, sampler: Sampler, tol: float, what: str) -> None:
-    # one evaluation plan: pm1, pm2 and pm3 share the pair stream and its distances
-    battery = _Battery(space, sampler, tol)
-    for run in (battery.pm1, battery.pm2, lambda: battery.symmetry("pm3")):
-        check = run()
+def _require(checks: Iterable[AxiomCheck], what: str, needs: str) -> None:
+    """Raise on the first failing check; needs may name the check's {axiom}."""
+    for check in checks:
         if not check.passed:
             w = check.witnesses[0]
             raise InputError(
-                f"{what} needs axiom {check.axiom} on the input; "
+                f"{what} needs {needs.format(axiom=check.axiom)}; "
                 f"violated at {tuple(p.coords for p in w.points)} (lhs={w.lhs}, rhs={w.rhs})"
             )
 
 
-def _require_polygon(space: SpaceDescriptor, sampler: Sampler, tol: float, what: str,
-                     K: float | None = None, chain_len: int | None = None) -> None:
-    check = check_pm4(space, sampler, chain_len=chain_len, K=K, tol=tol)
-    if not check.passed:
-        w = check.witnesses[0]
-        raise InputError(
-            f"{what} needs the polygon inequality on the input; "
-            f"violated at {tuple(p.coords for p in w.points)} (lhs={w.lhs}, rhs={w.rhs})"
-        )
+def _require_weighted_core(space: SpaceDescriptor, sampler: Sampler, tol: float, what: str,
+                           polygon: tuple[float | None, int | None] | None = None) -> None:
+    """pm1, pm2 and pm3 on the input, then the polygon inequality at polygon = (K, chain_len)
+    when given (None: the descriptor's own), all from one evaluation plan."""
+    battery = _Battery(space, sampler, tol)
+    _require((run() for run in (battery.pm1, battery.pm2, lambda: battery.symmetry("pm3"))),
+             what, "axiom {axiom} on the input")
+    if polygon is not None:
+        K, chain_len = polygon
+        lengths = _chain_lengths(space, chain_len, "exact")
+        check = battery.chain_check("pm4", lengths, space.coeff_K if K is None else K, weighted=True)
+        _require((check,), what, "the polygon inequality on the input")
 
 
-def _merge_provenance(base: Mapping | None, extra: dict) -> dict:
-    doc = dict(base) if base else {}
-    doc.update(extra)
-    return doc
+def _spec(space: SpaceDescriptor, what: str = "construction") -> dict | str:
+    if space.oracle.spec is None:
+        raise InputError(f"input oracle is not serializable; the {what} needs an expression or registered name")
+    return space.oracle.spec
+
+
+def _derive(space: SpaceDescriptor, note: dict, **changes) -> SpaceDescriptor:
+    """space with the given fields replaced and note merged into its provenance."""
+    provenance = dict(space.provenance or {})
+    provenance.update(note)
+    return replace(space, provenance=provenance, **changes)
 
 
 def to_pt(space: SpaceDescriptor, sampler: Sampler | None = None, tol: float = DEFAULT_TOL) -> SpaceDescriptor:
@@ -72,10 +80,7 @@ def to_pt(space: SpaceDescriptor, sampler: Sampler | None = None, tol: float = D
     if sampler is None:
         sampler = _default_check_sampler(space)
     _require_weighted_core(space, sampler, tol, "the weighted-to-unweighted transform")
-
-    if space.oracle.spec is None:
-        raise InputError("input oracle is not serializable; the transform needs an expression or registered name")
-    oracle = build_oracle({"op": "pt", "source": space.oracle.spec})
+    oracle = build_oracle({"op": "pt", "source": _spec(space, "transform")})
 
     # negativity scan: pm2 failures on unsampled points surface here
     for x, y in sampler.pairs(count=400):
@@ -83,36 +88,16 @@ def to_pt(space: SpaceDescriptor, sampler: Sampler | None = None, tol: float = D
         if v < 0.0:
             raise ConstructionError("weighted transform went negative", witness=(x, y, v))
 
-    derived = SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=space.coeff_K,
-        polygon_order_n=space.polygon_order_n,
-        domain=space.domain,
-        class_claim=SpaceClass.METRIC_TYPE,
-        hausdorff_asserted=space.hausdorff_asserted,
-        complete_asserted=space.complete_asserted,
-        provenance=_merge_provenance(space.provenance, {"construction": "pt"}),
-    )
+    derived = _derive(space, {"construction": "pt"}, oracle=oracle, class_claim=SpaceClass.METRIC_TYPE)
     if space.coeff_K > 1.0:
         checks = check_metric_type(derived, sampler, tol=tol)
-        verdicts = {name: c.verdict for name, c in checks.items()}
         note = {
-            "construction": "pt",
             "coefficient_above_one": True,
-            "posthoc_unweighted_axioms": verdicts,
+            "posthoc_unweighted_axioms": {name: c.verdict for name, c in checks.items()},
         }
         if not all(c.passed for c in checks.values()):
             note["warning"] = "sampled unweighted axioms failed on the derived distance"
-        derived = SpaceDescriptor(
-            oracle=oracle,
-            coeff_K=space.coeff_K,
-            polygon_order_n=space.polygon_order_n,
-            domain=space.domain,
-            class_claim=SpaceClass.METRIC_TYPE,
-            hausdorff_asserted=space.hausdorff_asserted,
-            complete_asserted=space.complete_asserted,
-            provenance=_merge_provenance(space.provenance, note),
-        )
+        derived = _derive(derived, note)
     return derived
 
 
@@ -136,14 +121,8 @@ def from_metric_with_basepoint(
     base = as_point(x0, space.dim)
     if not space.domain.contains(base):
         raise InputError(f"basepoint {base.coords} outside the domain")
-    checks = check_metric_type(space, sampler, K=1.0, chain_len=1, tol=tol)
-    for name, check in checks.items():
-        if not check.passed:
-            w = check.witnesses[0]
-            raise InputError(
-                f"the basepoint construction needs axiom {name} at coefficient 1; "
-                f"violated at {tuple(p.coords for p in w.points)} (lhs={w.lhs}, rhs={w.rhs})"
-            )
+    _require(check_metric_type(space, sampler, K=1.0, chain_len=1, tol=tol).values(),
+             "the basepoint construction", "axiom {axiom} at coefficient 1")
     hypothesis_violations = 0
     witness = None
     for x, y in sampler.pairs(count=600):
@@ -158,20 +137,8 @@ def from_metric_with_basepoint(
         note["warning"] = "sampled basepoint domination hypothesis failed"
         note["hypothesis_violations"] = hypothesis_violations
         note["hypothesis_witness"] = witness
-
-    if space.oracle.spec is None:
-        raise InputError("input oracle is not serializable; the construction needs an expression or registered name")
-    oracle = build_oracle({"op": "basepoint", "source": space.oracle.spec, "x0": list(base.coords)})
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=1.0,
-        polygon_order_n=space.polygon_order_n,
-        domain=space.domain,
-        class_claim=SpaceClass.KPMS,
-        hausdorff_asserted=space.hausdorff_asserted,
-        complete_asserted=space.complete_asserted,
-        provenance=_merge_provenance(space.provenance, note),
-    )
+    oracle = build_oracle({"op": "basepoint", "source": _spec(space), "x0": list(base.coords)})
+    return _derive(space, note, oracle=oracle, coeff_K=1.0, class_claim=SpaceClass.KPMS)
 
 
 def induced_dp(space: SpaceDescriptor, sampler: Sampler | None = None, tol: float = DEFAULT_TOL) -> SpaceDescriptor:
@@ -182,21 +149,9 @@ def induced_dp(space: SpaceDescriptor, sampler: Sampler | None = None, tol: floa
     """
     if sampler is None:
         sampler = _default_check_sampler(space)
-    _require_weighted_core(space, sampler, tol, "the induced unweighted distance")
-    _require_polygon(space, sampler, tol, "the induced unweighted distance")
-    if space.oracle.spec is None:
-        raise InputError("input oracle is not serializable; the construction needs an expression or registered name")
-    oracle = build_oracle({"op": "dp", "source": space.oracle.spec})
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=space.coeff_K,
-        polygon_order_n=space.polygon_order_n,
-        domain=space.domain,
-        class_claim=SpaceClass.METRIC_TYPE,
-        hausdorff_asserted=space.hausdorff_asserted,
-        complete_asserted=space.complete_asserted,
-        provenance=_merge_provenance(space.provenance, {"construction": "dp"}),
-    )
+    _require_weighted_core(space, sampler, tol, "the induced unweighted distance", polygon=(None, None))
+    oracle = build_oracle({"op": "dp", "source": _spec(space)})
+    return _derive(space, {"construction": "dp"}, oracle=oracle, class_claim=SpaceClass.METRIC_TYPE)
 
 
 def power_pms(space: SpaceDescriptor, q: float, sampler: Sampler | None = None, tol: float = DEFAULT_TOL) -> SpaceDescriptor:
@@ -209,21 +164,10 @@ def power_pms(space: SpaceDescriptor, q: float, sampler: Sampler | None = None, 
         raise InputError(f"power exponent must be >= 1, got {q}")
     if sampler is None:
         sampler = _default_check_sampler(space)
-    _require_weighted_core(space, sampler, tol, "the power construction")
-    _require_polygon(space, sampler, tol, "the power construction", K=1.0, chain_len=1)
-    if space.oracle.spec is None:
-        raise InputError("input oracle is not serializable; the construction needs an expression or registered name")
-    oracle = build_oracle({"op": "power", "base": space.oracle.spec, "q": q})
-    return SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=2.0 ** (q - 1.0),
-        polygon_order_n=1,
-        domain=space.domain,
-        class_claim=SpaceClass.KPMS,
-        hausdorff_asserted=space.hausdorff_asserted,
-        complete_asserted=space.complete_asserted,
-        provenance=_merge_provenance(space.provenance, {"construction": "power", "q": q}),
-    )
+    _require_weighted_core(space, sampler, tol, "the power construction", polygon=(1.0, 1))
+    oracle = build_oracle({"op": "power", "base": _spec(space), "q": q})
+    return _derive(space, {"construction": "power", "q": q}, oracle=oracle, coeff_K=2.0 ** (q - 1.0),
+                   polygon_order_n=1, class_claim=SpaceClass.KPMS)
 
 
 def sum_pm_bm(
@@ -245,50 +189,26 @@ def sum_pm_bm(
         raise InputError("summands must share one domain")
     if sampler is None:
         sampler = _default_check_sampler(first)
-    _require_weighted_core(first, sampler, tol, "the sum construction")
-    _require_polygon(first, sampler, tol, "the sum construction", K=1.0, chain_len=1)
-    d_checks = check_metric_type(second, sampler, chain_len=1, tol=tol)
-    for name, check in d_checks.items():
-        if not check.passed:
-            w = check.witnesses[0]
-            raise InputError(
-                f"the sum construction needs axiom {name} on the second input; "
-                f"violated at {tuple(p.coords for p in w.points)} (lhs={w.lhs}, rhs={w.rhs})"
-            )
+    _require_weighted_core(first, sampler, tol, "the sum construction", polygon=(1.0, 1))
+    _require(check_metric_type(second, sampler, chain_len=1, tol=tol).values(),
+             "the sum construction", "axiom {axiom} on the second input")
     if first.oracle.spec is None or second.oracle.spec is None:
         raise InputError("both oracles must be serializable for the sum construction")
-    oracle = build_oracle({"op": "sum", "args": [first.oracle.spec, second.oracle.spec]})
-    coeff = max(1.0, second.coeff_K)
-    derived = SpaceDescriptor(
-        oracle=oracle,
-        coeff_K=coeff,
+    derived = _derive(
+        first,
+        {"construction": "sum"},
+        oracle=build_oracle({"op": "sum", "args": [first.oracle.spec, second.oracle.spec]}),
+        coeff_K=max(1.0, second.coeff_K),
         polygon_order_n=1,
-        domain=first.domain,
         class_claim=SpaceClass.KPMS,
-        hausdorff_asserted=first.hausdorff_asserted,
         complete_asserted=first.complete_asserted and second.complete_asserted,
-        provenance=_merge_provenance(first.provenance, {"construction": "sum"}),
     )
     posthoc = check_pm4(derived, sampler, tol=tol)
     if not posthoc.passed:
-        w = posthoc.witnesses[0]
-        derived = SpaceDescriptor(
-            oracle=oracle,
-            coeff_K=coeff,
-            polygon_order_n=1,
-            domain=first.domain,
-            class_claim=SpaceClass.KPMS,
-            hausdorff_asserted=derived.hausdorff_asserted,
-            complete_asserted=derived.complete_asserted,
-            provenance=_merge_provenance(
-                first.provenance,
-                {
-                    "construction": "sum",
-                    "warning": "sampled polygon inequality failed on the sum",
-                    "polygon_witness": [list(p.coords) for p in w.points],
-                },
-            ),
-        )
+        derived = _derive(derived, {
+            "warning": "sampled polygon inequality failed on the sum",
+            "polygon_witness": [list(p.coords) for p in posthoc.witnesses[0].points],
+        })
     return derived
 
 

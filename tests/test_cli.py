@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report documents, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -270,6 +271,24 @@ def test_solve_banach_pair_writes_report_and_trace(capsys, tmp_path):
     assert all(row.count(",") == 4 for row in lines)
 
 
+def test_outputs_get_the_mode_of_a_plain_open(capsys, tmp_path):
+    space = write_space(tmp_path / "line.json")
+    plain = tmp_path / "plain.txt"
+    old = os.umask(0o027)
+    try:
+        plain.write_text("x")
+        outputs = [tmp_path / "check.json", tmp_path / "report.json", tmp_path / "trace.csv"]
+        assert run(capsys, "check", space, "--random-count", "50", "--out", str(outputs[0]))[0] == 0
+        assert run(
+            capsys, "solve", "--scheme", "banach-pair", "--space", space, "--config", json.dumps(BANACH_CFG),
+            "--report-out", str(outputs[1]), "--trace-out", str(outputs[2]),
+        )[0] == 0
+    finally:
+        os.umask(old)
+    assert plain.stat().st_mode & 0o777 == 0o640
+    assert [p.stat().st_mode for p in outputs] == [plain.stat().st_mode] * 3
+
+
 def test_solve_reports_are_byte_stable(capsys, tmp_path):
     space = write_space(tmp_path / "line.json")
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -337,6 +356,24 @@ def test_solve_family_with_series_gate(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["extras"]["gate"]["status"] == "certified"
+
+
+def test_solve_family_penalty_takes_the_arity_of_the_folded_scheme_name(capsys, tmp_path):
+    # "Kannan-3" folds to kannan3, whose penalty takes three arguments
+    space = write_space(tmp_path / "line.json")
+    cfg = {
+        "family": {"kind": "geometric", "base": 5.0},
+        "delta": {"kind": "const", "value": 0.25},
+        "scheme": "Kannan-3",
+        "psi": "max",
+        "gamma": 0.1,
+        "x0": 1.0,
+    }
+    code, out, _ = run(
+        capsys, "solve", "--scheme", "family", "--space", space, "--config", json.dumps(cfg)
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["extras"]["scheme"] == "kannan3"
 
 
 def test_solve_family_gate_rejection_is_data_error(capsys, tmp_path):

@@ -222,6 +222,27 @@ def test_long_exact_sequences_equal_fraction_loop():
         assert certificate(terms) == reference_certificate(terms)
 
 
+def test_refuted_sequence_past_the_float_range_gets_a_verdict():
+    # each term is about 1e800, so the tail averages leave the float range;
+    # they read inf instead of raising OverflowError
+    seq = kannan_rate_terms([Fraction(10**400 - 1, 10**400)] * 4, 1.0)
+    cert = certify_alpha_series(seq)
+    assert (cert.status, cert.witness_L) == ("refuted_at_horizon", 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(st.one_of(wide_terms, exact_terms), min_size=1, max_size=60))
+def test_exact_average_is_the_float_of_the_prefix_sum(terms):
+    prefix, acc = _ExactPrefix(tuple(terms)), Fraction(0)
+    for L, t in enumerate(terms, start=1):
+        acc += t
+        try:
+            want = float(acc) / L
+        except OverflowError:
+            want = math.inf
+        assert prefix.average(L) == want
+
+
 # ---------------------------------------------------------------------------
 # rate terms
 

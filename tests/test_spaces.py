@@ -517,6 +517,25 @@ def test_atomic_write_replaces_and_leaves_no_droppings(tmp_path):
     assert leftovers == []
 
 
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask_027):
+    plain = os.path.join(tmp_path, "plain.txt")
+    with open(plain, "w") as fh:
+        fh.write("x")
+    doc, space = os.path.join(tmp_path, "doc.json"), os.path.join(tmp_path, "space.json")
+    write_json_atomic(doc, {"a": 1})
+    save_space(unit_line({"op": "absdiff"}), space)
+    want = os.stat(plain).st_mode
+    assert want & 0o777 == 0o640
+    assert os.stat(doc).st_mode == os.stat(space).st_mode == want
+
+
 def test_atomic_write_output_is_stable():
     doc = {"b": 2, "a": [1.5, 0.1]}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
