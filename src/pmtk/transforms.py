@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .axioms import AxiomCheck, _Battery, _chain_lengths, check_metric_type, check_pm4
+from .axioms import AxiomCheck, _Battery, check_metric_type, check_pm4
 from .errors import ConstructionError, InputError
 from .spaces import (
     DEFAULT_TOL,
@@ -43,16 +43,18 @@ def _require(checks: Iterable[AxiomCheck], what: str, needs: str) -> None:
 
 
 def _require_weighted_core(space: SpaceDescriptor, sampler: Sampler, tol: float, what: str,
-                           polygon: tuple[float | None, int | None] | None = None) -> None:
-    """pm1, pm2 and pm3 on the input, then the polygon inequality at polygon = (K, chain_len)
-    when given (None: the descriptor's own), all from one evaluation plan."""
+                           polygon: tuple[float, int] | None = None) -> None:
+    """pm1, pm2 and pm3 on the input, in that order, from one evaluation plan.
+
+    With polygon = (K, chain_len) the polygon inequality at that coefficient
+    and chain length follows on the same plan.
+    """
     battery = _Battery(space, sampler, tol)
     _require((run() for run in (battery.pm1, battery.pm2, lambda: battery.symmetry("pm3"))),
              what, "axiom {axiom} on the input")
     if polygon is not None:
         K, chain_len = polygon
-        lengths = _chain_lengths(space, chain_len, "exact")
-        check = battery.chain_check("pm4", lengths, space.coeff_K if K is None else K, weighted=True)
+        check = battery.chain_check("pm4", [chain_len], K, weighted=True)
         _require((check,), what, "the polygon inequality on the input")
 
 
@@ -149,7 +151,8 @@ def induced_dp(space: SpaceDescriptor, sampler: Sampler | None = None, tol: floa
     """
     if sampler is None:
         sampler = _default_check_sampler(space)
-    _require_weighted_core(space, sampler, tol, "the induced unweighted distance", polygon=(None, None))
+    _require_weighted_core(space, sampler, tol, "the induced unweighted distance",
+                           polygon=(space.coeff_K, space.polygon_order_n))
     oracle = build_oracle({"op": "dp", "source": _spec(space)})
     return _derive(space, {"construction": "dp"}, oracle=oracle, class_claim=SpaceClass.METRIC_TYPE)
 
