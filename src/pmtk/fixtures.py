@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Mapping
 
 from .axioms import build_report
@@ -46,7 +47,9 @@ from .spaces import (
     SpaceClass,
     SpaceDescriptor,
     build_oracle,
+    domain_point,
     eval_distance,
+    eval_row,
 )
 
 FIXTURE_NAMES = (
@@ -275,29 +278,22 @@ def _e5_display_violations(space: SpaceDescriptor, family: MapFamily, tol: float
 
     Positive-positive pairs, one-sided zeros, and the double zero with
     distinct indices each stress a different branch of the jump maps.
+    Together the regions are every pair (x, y) of the points k/12,
+    k = 0..12, so each image T_i x and each row p(x, T_i .) is computed once
+    per index.
     """
-    grid = [k / 12.0 for k in range(1, 13)]
-    idx = [(i, j) for i in range(1, 7) for j in range(1, 7) if i != j]
+    xs = [domain_point(space, k / 12.0) for k in (*range(1, 13), 0)]
+    images = {i: [domain_point(space, family(i)(x)) for x in xs] for i in range(1, 7)}
+    # to[i][a][b] = p(x_a, T_i x_b): both rhs terms, p(x, T_j y) and p(y, T_i x)
+    to = {i: [eval_row(space, x, tx) for x in xs] for i, tx in images.items()}
     violations = 0
-
-    def check(x: float, y: float, i: int, j: int) -> None:
-        nonlocal violations
-        px, py = Point.of(x), Point.of(y)
-        Ti, Tj = family(i), family(j)
-        lhs = eval_distance(space, Ti(px), Tj(py))
+    for i, j in permutations(images, 2):
         d = float(e5_delta(i, j))
-        rhs = d * (eval_distance(space, px, Tj(py)) + eval_distance(space, py, Ti(px)))
-        if lhs > rhs + tol:
-            violations += 1
-
-    for i, j in idx:
-        for x in grid:
-            for y in grid:
-                check(x, y, i, j)
-        for x in grid:
-            check(x, 0.0, i, j)
-            check(0.0, x, i, j)
-        check(0.0, 0.0, i, j)
+        for a, tx in enumerate(images[i]):
+            x_tj = to[j][a]
+            for b, lhs in enumerate(eval_row(space, tx, images[j])):
+                if lhs > d * (x_tj[b] + to[i][b][a]) + tol:
+                    violations += 1
     return violations
 
 

@@ -40,7 +40,9 @@ from .spaces import (
     Point,
     SelfMap,
     SpaceDescriptor,
+    _eval_column,
     as_point,
+    domain_error,
     domain_point,
     eval_distance,
     eval_row,
@@ -934,14 +936,30 @@ def scan_limit_candidates(
     half = list(range(M // 2, M + 1))
     half = [m for m in half if 1 <= m <= M]
     inv = np.array([1.0 / m for m in half])
+    # the window ends the fit range; the rest is checked once a grid point needs it
+    tail: list[Point] | None = None
+    head: list[Point] | None = None
+
+    def inside(seq: list[Point], x: Point) -> list[Point]:
+        # a pair-by-pair loop evaluates the pairs before an outside point first
+        ok = list(takewhile(space.domain.contains, seq))
+        if len(ok) < len(seq):
+            _eval_column(space, ok, x)
+            raise domain_error(space, seq[len(ok)].coords)
+        return seq
+
     found: list[Point] = []
     for x in _domain_grid(space, grid_points):
         p_self = self_distance(space, x)
-        tail_vals = [eval_distance(space, pts[m - 1], x) for m in range(M - window + 1, M + 1)]
+        if tail is None:
+            tail = inside(pts[M - window:], x)
+        tail_vals = _eval_column(space, tail, x)
         raw = abs(float(np.mean(tail_vals)) - p_self)
         if raw > 100.0 * threshold:
             continue  # fit cannot rescue a residual this large
-        vals = np.array([eval_distance(space, pts[m - 1], x) for m in half])
+        if head is None:
+            head = inside([pts[m - 1] for m in half[:len(half) - len(tail)]], x)
+        vals = np.array(_eval_column(space, head, x) + tail_vals)
         coeffs = np.polyfit(inv, vals, deg=2)
         intercept = float(coeffs[-1])
         fit_res = abs(intercept - p_self)

@@ -229,7 +229,8 @@ def _compile_expr(expr) -> Callable[[Point, Point], float]:
 
     if op == "max":
         def _maxcoord(x: Point, y: Point) -> float:
-            return max(max(x.coords), max(y.coords))
+            # max keeps the first of equal values; + 0.0 maps -0.0 to 0.0 for symmetry
+            return max(max(x.coords), max(y.coords)) + 0.0
         return _maxcoord
 
     if op == "const":
@@ -385,6 +386,17 @@ def eval_row(space: SpaceDescriptor, x: Point, ys: Sequence[Point]) -> list:
     # a finite sum rules out nan and inf, and the minimum rules out negatives
     if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):
         for v, y in zip(values, ys):
+            if _invalid_distance(v):
+                raise oracle_value_error(v, x.coords, y.coords)
+    return values
+
+
+def _eval_column(space: SpaceDescriptor, xs: Sequence[Point], y: Point) -> list:
+    """eval_row with the arguments swapped: p(x, y) for each x, x first."""
+    fn = space.oracle.fn
+    values = [fn(x, y) for x in xs]
+    if not (math.isfinite(sum(values)) and min(values, default=0.0) >= 0.0):
+        for v, x in zip(values, xs):
             if _invalid_distance(v):
                 raise oracle_value_error(v, x.coords, y.coords)
     return values

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
 from .axioms import AxiomCheck, _Battery, check_metric_type, check_pm4
 from .errors import ConstructionError, InputError
 from .spaces import (
@@ -22,7 +24,7 @@ from .spaces import (
     SpaceDescriptor,
     as_point,
     build_oracle,
-    eval_distance,
+    eval_terms,
 )
 
 
@@ -125,20 +127,17 @@ def from_metric_with_basepoint(
         raise InputError(f"basepoint {base.coords} outside the domain")
     _require(check_metric_type(space, sampler, K=1.0, chain_len=1, tol=tol).values(),
              "the basepoint construction", "axiom {axiom} at coefficient 1")
-    hypothesis_violations = 0
-    witness = None
-    for x, y in sampler.pairs(count=600):
-        if x.coords == y.coords:
-            continue
-        if eval_distance(space, base, x) > eval_distance(space, x, y) + tol:
-            hypothesis_violations += 1
-            if witness is None:
-                witness = (list(x.coords), list(y.coords))
+    pairs = sampler.pair_array(count=600)
+    pairs = pairs[(pairs[:, 0] != pairs[:, 1]).any(axis=1)]
+    # p(x0, x) and p(x, y) for each distinct pair, as (x, y, x0) rows
+    rows = np.concatenate([pairs, np.broadcast_to(base.coords, (len(pairs), 1, space.dim))], axis=1)
+    v = eval_terms(space, rows, ((2, 0), (0, 1)))
+    over = v[:, 0] > v[:, 1] + tol
     note: dict = {"construction": "basepoint", "x0": list(base.coords)}
-    if hypothesis_violations:
+    if over.any():
         note["warning"] = "sampled basepoint domination hypothesis failed"
-        note["hypothesis_violations"] = hypothesis_violations
-        note["hypothesis_witness"] = witness
+        note["hypothesis_violations"] = int(over.sum())
+        note["hypothesis_witness"] = tuple(pairs[over.argmax()].tolist())
     oracle = build_oracle({"op": "basepoint", "source": _spec(space), "x0": list(base.coords)})
     return _derive(space, note, oracle=oracle, coeff_K=1.0, class_claim=SpaceClass.KPMS)
 

@@ -5,10 +5,13 @@ import json
 import math
 import os
 import re
+import struct
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmtk.errors import ConstructionError, DomainError, InputError, PmtkError
 from pmtk.spaces import (
@@ -200,6 +203,39 @@ def test_basepoint_expression_is_bitwise_symmetric():
     assert a == b
     # p(x,y) = [d(x,y) + d(x,x0) + d(y,x0)] / 2
     assert a == pytest.approx(0.5 * (0.82 + 0.19 + 0.63), abs=1e-15)
+
+
+def test_max_oracle_never_returns_negative_zero():
+    sp = unit_line({"op": "max"})
+    for x, y in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
+        assert struct.pack("<d", eval_distance(sp, x, y)) == struct.pack("<d", 0.0)
+
+
+# coordinates in [0, 1] with both zeros drawn often, so every source stays
+# nonnegative and the pt transform stays defined
+COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0))
+SOURCES = [
+    {"op": "max"},
+    {"op": "absdiff"},
+    {"op": "power", "base": {"op": "absdiff"}, "q": 1.5},
+    {"op": "power", "base": {"op": "max"}, "q": 3.0},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    source=st.sampled_from(SOURCES),
+    wrap=st.sampled_from([None, "pt", "dp", "basepoint"]),
+    coords=st.lists(COORD, min_size=6, max_size=6),
+)
+def test_oracles_are_bitwise_symmetric_at_signed_zeros(dim, source, wrap, coords):
+    x, y, x0 = (Point(tuple(coords[k:k + dim])) for k in (0, 2, 4))
+    spec = source if wrap is None else {"op": wrap, "source": source}
+    if wrap == "basepoint":
+        spec["x0"] = list(x0.coords)
+    fn = build_oracle(spec).fn
+    assert struct.pack("<d", fn(x, y)) == struct.pack("<d", fn(y, x))
 
 
 def test_malformed_expressions_are_rejected():
