@@ -20,43 +20,22 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .axioms import build_report
 from .errors import ConstructionError, InputError, PmtkError, UsageError
-from .fixtures import FIXTURE_NAMES, get_fixture, run_fixture
+from .fixtures import FIXTURE_NAMES, run_fixture, solve_from_config
 from .series import (
     DEFAULT_LAMBDA_GRID,
     RateSequence,
     certify_alpha_series,
     kannan_rate_terms,
 )
-from .solvers import (
-    AdmissibilityConfig,
-    AlphaSeriesGate,
-    FixedPointReport,
-    PhiFunction,
-    PsiFunction,
-    RelaxedCnGate,
-    penalty_arity,
-    phi_identity,
-    phi_power,
-    phi_sqrt,
-    psi_max,
-    psi_sum,
-    solve_admissible,
-    solve_family,
-    solve_pair_banach,
-    solve_pair_kannan,
-    solve_pair_power,
-)
+from .solvers import FixedPointReport
 from .spaces import (
     DEFAULT_TOL,
-    MapFamily,
     Sampler,
-    SelfMap,
     SpaceDescriptor,
     dump_json,
     load_space,
@@ -123,113 +102,6 @@ def _load_config(arg: str) -> dict:
     if not isinstance(doc, dict):
         raise InputError("config must be a JSON object")
     return doc
-
-
-# ---------------------------------------------------------------------------
-# config spec builders
-
-
-def _map_from_spec(spec: dict, default_label: str = "T") -> SelfMap:
-    kind = spec.get("kind")
-    label = spec.get("label", default_label)
-    if kind == "scale":
-        factor = float(spec["factor"])
-        return SelfMap.scalar(lambda t: factor * t, label=label)
-    if kind == "affine":
-        a = float(spec.get("scale", 1.0))
-        b = float(spec.get("offset", 0.0))
-        return SelfMap.scalar(lambda t: a * t + b, label=label)
-    if kind == "const":
-        c = float(spec["value"])
-        return SelfMap.scalar(lambda t: c, label=label)
-    raise InputError(f"unknown map kind {kind!r} (expected scale, affine, or const)")
-
-
-def _family_from_spec(spec: dict) -> MapFamily:
-    kind = spec.get("kind")
-    if kind == "geometric":
-        base = float(spec["base"])
-        if not (base > 1.0):
-            raise InputError(f"geometric family base must exceed 1, got {base}")
-        return MapFamily.geometric(base, f"geometric{base:g}")
-    if kind == "fixture":
-        fx = get_fixture(spec["name"])
-        if not isinstance(fx.maps, MapFamily):
-            raise InputError(f"fixture {spec['name']!r} does not carry a map family")
-        return fx.maps
-    raise InputError(f"unknown family kind {kind!r} (expected geometric or fixture)")
-
-
-def _delta_from_spec(spec: dict) -> Callable[[int, int], float | Fraction]:
-    kind = spec.get("kind")
-    if kind == "const":
-        value = float(spec["value"])
-        return lambda i, j: value
-    if kind == "recip-sq":
-        base = int(spec.get("base", 2))
-        index = spec.get("index", "min")
-        if index not in ("min", "first"):
-            raise InputError(f"recip-sq index must be 'min' or 'first', got {index!r}")
-        from .fixtures import _recip_sq_delta
-
-        if index == "min":
-            return lambda i, j: _recip_sq_delta(base, min(i, j))
-        return lambda i, j: _recip_sq_delta(base, i)
-    if kind == "shifted-recip":
-        num = int(spec.get("num", 1))
-        den = int(spec.get("den", 3))
-        shift = int(spec.get("shift", 6))
-        return lambda i, j: Fraction(num, den) + Fraction(1, abs(i - j) + shift)
-    if kind == "fixture":
-        from . import fixtures
-
-        return fixtures._delta_for(spec["name"])
-    raise InputError(f"unknown delta kind {kind!r}")
-
-
-def _phi_from_spec(spec) -> PhiFunction:
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    kind = spec.get("kind")
-    if kind == "sqrt":
-        return phi_sqrt()
-    if kind == "identity":
-        return phi_identity()
-    if kind == "power":
-        return phi_power(float(spec["s"]))
-    raise InputError(f"unknown gauge kind {kind!r} (expected sqrt, identity, or power)")
-
-
-def _psi_from_spec(spec, arity: int) -> PsiFunction:
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    kind = spec.get("kind")
-    if kind == "sum":
-        return psi_sum(arity)
-    if kind == "max":
-        return psi_max(arity)
-    raise InputError(f"unknown penalty kind {kind!r} (expected sum or max)")
-
-
-def _gate_from_spec(spec: dict):
-    kind = spec.get("kind")
-    if kind == "alpha-series":
-        grid = spec.get("grid")
-        return AlphaSeriesGate(
-            with_2s_factor=bool(spec.get("with_2s_factor", True)),
-            horizon=int(spec.get("horizon", 10_000)),
-            grid=tuple(float(g) for g in grid) if grid else None,
-        )
-    if kind == "relaxed-cn":
-        return RelaxedCnGate(horizon=int(spec.get("horizon", 200)))
-    raise InputError(f"unknown gate kind {kind!r} (expected alpha-series or relaxed-cn)")
-
-
-def _weight_from_spec(spec: dict, name: str) -> Callable:
-    if spec.get("kind") != "const":
-        raise InputError(f"{name} weight must be {{'kind': 'const', 'value': ...}} for now")
-    value = float(spec["value"])
-    return lambda x, y: value
 
 
 # ---------------------------------------------------------------------------
@@ -319,70 +191,12 @@ def _cmd_series(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _solve_from_config(space: SpaceDescriptor, scheme: str, cfg: dict, x0) -> FixedPointReport:
-    common = {
-        "step_tol": float(cfg.get("step_tol", 1e-10)),
-        "max_iter": int(cfg.get("max_iter", 10_000)),
-        "halt_on_violation": bool(cfg.get("halt_on_violation", True)),
-    }
-    if scheme == "banach-pair":
-        T1 = _map_from_spec(cfg["T1"], "T1")
-        T2 = _map_from_spec(cfg["T2"], "T2")
-        k = float(cfg["k"])
-        if "r1" in cfg or "r2" in cfg:
-            return solve_pair_power(
-                space, T1, T2, x0, k, int(cfg.get("r1", 1)), int(cfg.get("r2", 1)), **common
-            )
-        return solve_pair_banach(space, T1, T2, x0, k, **common)
-    if scheme == "kannan-pair":
-        T1 = _map_from_spec(cfg["T1"], "T1")
-        T2 = _map_from_spec(cfg["T2"], "T2")
-        return solve_pair_kannan(space, T1, T2, x0, float(cfg["k"]), **common)
-    if scheme == "admissible":
-        T = _map_from_spec(cfg["T"], "T")
-        config = AdmissibilityConfig(
-            alpha=_weight_from_spec(cfg["alpha"], "alpha"),
-            beta=_weight_from_spec(cfg["beta"], "beta"),
-            C_alpha=float(cfg["C_alpha"]),
-            C_beta=float(cfg["C_beta"]),
-        )
-        return solve_admissible(space, T, x0, config, **common)
-    if scheme == "family":
-        family = _family_from_spec(cfg["family"])
-        F = _phi_from_spec(cfg.get("gauge", "identity"))
-        delta = _delta_from_spec(cfg["delta"])
-        gate = _gate_from_spec(cfg.get("gate", {"kind": "relaxed-cn"}))
-        inner_scheme = cfg.get("scheme", "kannan")
-        gamma = float(cfg.get("gamma", 0.0))
-        psi = _psi_from_spec(cfg["psi"], penalty_arity(inner_scheme)) if "psi" in cfg else None
-        return solve_family(
-            space,
-            family,
-            x0,
-            scheme=inner_scheme,
-            F=F,
-            delta=delta,
-            gate=gate,
-            r=int(cfg.get("r", 1)),
-            gamma=gamma,
-            psi=psi,
-            **common,
-        )
-    raise UsageError(f"unknown solve scheme {scheme!r}")
-
-
 def _cmd_solve(args) -> int:
     space = load_space(args.space)
     cfg = _load_config(args.config)
     seed = _resolve_seed(args.seed)
-    if args.x0 is not None:
-        x0 = tuple(_parse_floats(args.x0))
-    elif "x0" in cfg:
-        raw = cfg["x0"]
-        x0 = tuple(float(v) for v in raw) if isinstance(raw, list) else (float(raw),)
-    else:
-        raise UsageError("solve needs --x0 or an x0 entry in the config")
-    report = _solve_from_config(space, args.scheme, cfg, x0)
+    x0 = tuple(_parse_floats(args.x0)) if args.x0 is not None else None
+    report = solve_from_config(space, args.scheme, cfg, x0)
     doc = {"meta": _meta(seed, space), "scheme": args.scheme, "report": report.to_json_dict()}
     text = dump_json(doc)
     if args.report_out:
@@ -404,7 +218,6 @@ def _cmd_fixtures(args) -> int:
     seed = _resolve_seed(args.seed)
     all_ok = True
     for name in names:
-        get_fixture(name)  # fail fast on unknown names before any work
         result = run_fixture(name, seed=seed)
         all_ok = all_ok and result["all_passed"]
         if args.out:

@@ -15,7 +15,8 @@ Five fixtures exercise every layer of the toolkit:
                        bitwise after two steps
 
 run_fixture replays a fixture end to end and diffs every frozen expectation
-against the observed value.
+against the observed value.  solve_from_config reads the solve configs of
+`pmtk solve`; each of E1 and E3-E5 keeps one as its scheme_config.
 """
 
 from __future__ import annotations
@@ -26,17 +27,29 @@ from itertools import permutations
 from typing import Callable, Mapping
 
 from .axioms import build_report
-from .errors import CatalogError
+from .errors import CatalogError, InputError, UsageError
 from .series import kannan_rate_terms
 from .solvers import (
+    AdmissibilityConfig,
     AlphaSeriesGate,
+    FixedPointReport,
+    PhiFunction,
+    PsiFunction,
     RelaxedCnGate,
     detect_cauchy,
+    penalty_arity,
     per_map_fixed_point_check,
-    residual,
+    phi_identity,
+    phi_power,
+    phi_sqrt,
+    psi_max,
+    psi_sum,
     scan_limit_candidates,
+    solve_admissible,
     solve_family,
     solve_pair_banach,
+    solve_pair_kannan,
+    solve_pair_power,
 )
 from .spaces import (
     Box,
@@ -80,7 +93,56 @@ class Fixture:
 
 
 # ---------------------------------------------------------------------------
-# displacement coefficients
+# solve config documents
+
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, convert: Callable = float, default=_REQUIRED):
+    """convert(doc.get(key, default)); InputError names key if it is required and missing or convert fails."""
+    raw = doc.get(key, default)
+    if raw is _REQUIRED:
+        raise InputError(f"solve config needs {key!r}")
+    try:
+        return convert(raw)
+    except InputError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {key!r} in solve config: {raw!r}") from exc
+
+
+def _coords(raw) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw) if isinstance(raw, list) else (float(raw),)
+
+
+def _map(spec: dict) -> SelfMap:
+    kind = spec.get("kind")
+    if kind == "scale":
+        factor = _field(spec, "factor")
+        return SelfMap.scalar(lambda t: factor * t)
+    if kind == "affine":
+        a = _field(spec, "scale", float, 1.0)
+        b = _field(spec, "offset", float, 0.0)
+        return SelfMap.scalar(lambda t: a * t + b)
+    if kind == "const":
+        c = _field(spec, "value")
+        return SelfMap.scalar(lambda t: c)
+    raise InputError(f"unknown map kind {kind!r} (expected scale, affine, or const)")
+
+
+def _family(spec: dict) -> MapFamily:
+    kind = spec.get("kind")
+    if kind == "geometric":
+        base = _field(spec, "base")
+        if not (base > 1.0):
+            raise InputError(f"geometric family base must exceed 1, got {base}")
+        return MapFamily.geometric(base, f"geometric{base:g}")
+    if kind == "fixture":
+        fx = get_fixture(_field(spec, "name", str))
+        if not isinstance(fx.maps, MapFamily):
+            raise InputError(f"fixture {fx.name!r} does not carry a map family")
+        return fx.maps
+    raise InputError(f"unknown family kind {kind!r} (expected geometric or fixture)")
 
 
 def _recip_sq_delta(pow_base: int, eta: int) -> float | Fraction:
@@ -93,16 +155,134 @@ def _recip_sq_delta(pow_base: int, eta: int) -> float | Fraction:
     return (1.0 / (1.0 + float(pow_base) ** eta)) ** 2
 
 
-def e3_delta(i: int, j: int) -> float | Fraction:
-    return _recip_sq_delta(2, min(i, j))
+def _delta(spec: dict) -> Callable[[int, int], float | Fraction]:
+    kind = spec.get("kind")
+    if kind == "const":
+        value = _field(spec, "value")
+        return lambda i, j: value
+    if kind == "recip-sq":
+        base = _field(spec, "base", int, 2)
+        index = spec.get("index", "min")
+        if index == "min":
+            return lambda i, j: _recip_sq_delta(base, min(i, j))
+        if index == "first":
+            return lambda i, j: _recip_sq_delta(base, i)
+        raise InputError(f"recip-sq index must be 'min' or 'first', got {index!r}")
+    if kind == "shifted-recip":
+        num = _field(spec, "num", int, 1)
+        den = _field(spec, "den", int, 3)
+        shift = _field(spec, "shift", int, 6)
+        return lambda i, j: Fraction(num, den) + Fraction(1, abs(i - j) + shift)
+    if kind == "fixture":
+        # a fixture without a delta raises KeyError, which the caller's _field reports
+        return _delta(get_fixture(_field(spec, "name", str)).scheme_config["delta"])
+    raise InputError(f"unknown delta kind {kind!r}")
 
 
-def e4_delta(i: int, j: int) -> float | Fraction:
-    return _recip_sq_delta(2, i)
+def _phi(spec) -> PhiFunction:
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    kind = spec.get("kind")
+    if kind == "sqrt":
+        return phi_sqrt()
+    if kind == "identity":
+        return phi_identity()
+    if kind == "power":
+        return phi_power(_field(spec, "s"))
+    raise InputError(f"unknown gauge kind {kind!r} (expected sqrt, identity, or power)")
 
 
-def e5_delta(i: int, j: int) -> Fraction:
-    return Fraction(1, 3) + Fraction(1, abs(i - j) + 6)
+def _psi(spec, arity: int) -> PsiFunction:
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    kind = spec.get("kind")
+    if kind == "sum":
+        return psi_sum(arity)
+    if kind == "max":
+        return psi_max(arity)
+    raise InputError(f"unknown penalty kind {kind!r} (expected sum or max)")
+
+
+def _gate(spec: dict) -> AlphaSeriesGate | RelaxedCnGate:
+    kind = spec.get("kind")
+    if kind == "alpha-series":
+        return AlphaSeriesGate(
+            with_2s_factor=_field(spec, "with_2s_factor", bool, True),
+            horizon=_field(spec, "horizon", int, 10_000),
+            grid=_field(spec, "grid", lambda grid: tuple(float(g) for g in grid) if grid else None, None),
+        )
+    if kind == "relaxed-cn":
+        return RelaxedCnGate(horizon=_field(spec, "horizon", int, 200))
+    raise InputError(f"unknown gate kind {kind!r} (expected alpha-series or relaxed-cn)")
+
+
+def _weight(spec: dict, name: str) -> Callable:
+    if spec.get("kind") != "const":
+        raise InputError(f"{name} weight must be {{'kind': 'const', 'value': ...}} for now")
+    value = _field(spec, "value")
+    return lambda x, y: value
+
+
+def solve_from_config(space: SpaceDescriptor, scheme: str, cfg: dict, x0=None) -> FixedPointReport:
+    """Run one solver on space as the config document cfg sets it up.
+
+    scheme is banach-pair, kannan-pair, admissible or family, as for
+    `pmtk solve --scheme`; x0, when given, replaces the document's own x0.
+    The whole document is read before the solver starts, so a malformed
+    field raises InputError and the solver's own errors pass unchanged.
+    """
+    if x0 is None:
+        if "x0" not in cfg:
+            raise UsageError("solve needs --x0 or an x0 entry in the config")
+        x0 = _field(cfg, "x0", _coords)
+    common = {
+        "step_tol": _field(cfg, "step_tol", float, 1e-10),
+        "max_iter": _field(cfg, "max_iter", int, 10_000),
+        "halt_on_violation": _field(cfg, "halt_on_violation", bool, True),
+    }
+    if scheme in ("banach-pair", "kannan-pair"):
+        T1 = _field(cfg, "T1", _map)
+        T2 = _field(cfg, "T2", _map)
+        k = _field(cfg, "k")
+        if scheme == "kannan-pair":
+            return solve_pair_kannan(space, T1, T2, x0, k, **common)
+        if "r1" in cfg or "r2" in cfg:
+            r1, r2 = _field(cfg, "r1", int, 1), _field(cfg, "r2", int, 1)
+            return solve_pair_power(space, T1, T2, x0, k, r1, r2, **common)
+        return solve_pair_banach(space, T1, T2, x0, k, **common)
+    if scheme == "admissible":
+        T = _field(cfg, "T", _map)
+        config = AdmissibilityConfig(
+            alpha=_field(cfg, "alpha", lambda spec: _weight(spec, "alpha")),
+            beta=_field(cfg, "beta", lambda spec: _weight(spec, "beta")),
+            C_alpha=_field(cfg, "C_alpha"),
+            C_beta=_field(cfg, "C_beta"),
+        )
+        return solve_admissible(space, T, x0, config, **common)
+    if scheme == "family":
+        family = _field(cfg, "family", _family)
+        F = _field(cfg, "gauge", _phi, "identity")
+        delta = _field(cfg, "delta", _delta)
+        gate = _field(cfg, "gate", _gate, {"kind": "relaxed-cn"})
+        inner_scheme = _field(cfg, "scheme", str, "kannan")
+        gamma = _field(cfg, "gamma", float, 0.0)
+        psi = _field(cfg, "psi", lambda spec: _psi(spec, penalty_arity(inner_scheme))) if "psi" in cfg else None
+        r = _field(cfg, "r", int, 1)
+        return solve_family(space, family, x0, scheme=inner_scheme, F=F, delta=delta, gate=gate,
+                            r=r, gamma=gamma, psi=psi, **common)
+    raise UsageError(f"unknown solve scheme {scheme!r}")
+
+
+# ---------------------------------------------------------------------------
+# displacement coefficients
+
+_E3_DELTA = {"kind": "recip-sq", "index": "min"}
+_E4_DELTA = {"kind": "recip-sq", "index": "first"}
+_E5_DELTA = {"kind": "shifted-recip", "num": 1, "den": 3, "shift": 6}
+
+e3_delta = _delta(_E3_DELTA)
+e4_delta = _delta(_E4_DELTA)
+e5_delta = _delta(_E5_DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +320,8 @@ def _e3_pinned_grid() -> tuple[float, ...]:
 
 def get_fixture(name: str) -> Fixture:
     if name == "E1-maxpow":
+        quarter = {"kind": "scale", "factor": 0.25}
+        cfg = {"T1": quarter, "T2": quarter, "k": 1.0 / 16.0, "x0": 10.0}
         return Fixture(
             name=name,
             space=_fixture_space(
@@ -154,8 +336,8 @@ def get_fixture(name: str) -> Fixture:
                 Box.closed(0.0, 10.0),
                 complete_asserted=True,
             ),
-            maps=(SelfMap.scalar(lambda t: 0.25 * t, label="quarter"),) * 2,
-            scheme_config={"scheme": "banach-pair", "k": 1.0 / 16.0, "x0": 10.0},
+            maps=(_map(cfg["T1"]), _map(cfg["T2"])),
+            scheme_config=cfg,
             expected={
                 "dist_1_2": Expectation(5.0, note="max(1,2)^2 + (1-2)^2"),
                 "self_3": Expectation(9.0),
@@ -187,18 +369,19 @@ def get_fixture(name: str) -> Fixture:
             },
         )
     if name == "E3-kannan-family":
+        cfg = {
+            "family": {"kind": "geometric", "base": 16.0},
+            "delta": _E3_DELTA,
+            "scheme": "kannan3",
+            "gauge": "sqrt",
+            "x0": 1.0,
+            "gate": {"kind": "alpha-series", "horizon": 10_000, "grid": _e3_pinned_grid()},
+        }
         return Fixture(
             name=name,
             space=_fixture_space({"op": "power", "base": {"op": "max"}, "q": 2}, 2.0, Box.closed(0.0, 1.0)),
-            maps=MapFamily.geometric(16.0, "scale16"),
-            scheme_config={
-                "scheme": "kannan3",
-                "gauge": "sqrt",
-                "x0": 1.0,
-                "gate": "alpha-series",
-                "gate_horizon": 10_000,
-                "gate_grid": _e3_pinned_grid(),
-            },
+            maps=_family(cfg["family"]),
+            scheme_config=cfg,
             expected={
                 "gate_lambda": Expectation(0.7071067811865476, note="sqrt(2)/2, bitwise"),
                 "gate_n": Expectation(1),
@@ -210,17 +393,19 @@ def get_fixture(name: str) -> Fixture:
             },
         )
     if name == "E4-relaxed-family":
+        cfg = {
+            "family": {"kind": "geometric", "base": 4.0},
+            "delta": _E4_DELTA,
+            "scheme": "kannan",
+            "gauge": "sqrt",
+            "x0": 1.0,
+            "gate": {"kind": "relaxed-cn", "horizon": 200},
+        }
         return Fixture(
             name=name,
             space=_fixture_space({"op": "power", "base": {"op": "absdiff"}, "q": 2}, 2.0, Box.closed(0.0, 1.0)),
-            maps=MapFamily.geometric(4.0, "scale4"),
-            scheme_config={
-                "scheme": "kannan",
-                "gauge": "sqrt",
-                "x0": 1.0,
-                "gate": "relaxed-cn",
-                "gate_horizon": 200,
-            },
+            maps=_family(cfg["family"]),
+            scheme_config=cfg,
             expected={
                 "gate_accepted": Expectation(True),
                 "fixed_coord": Expectation(0.0, tol=1e-8),
@@ -236,11 +421,12 @@ def get_fixture(name: str) -> Fixture:
             space=_fixture_space({"op": "absdiff"}, 1.0, Box.closed(0.0, 1.0), hausdorff_asserted=True),
             maps=_e5_family(),
             scheme_config={
+                "family": {"kind": "fixture", "name": name},
+                "delta": _E5_DELTA,
                 "scheme": "chatterjea",
                 "gauge": "identity",
                 "x0": 0.0,
-                "gate": "relaxed-cn",
-                "gate_horizon": 200,
+                "gate": {"kind": "relaxed-cn", "horizon": 200},
             },
             expected={
                 "fixed_coord": Expectation(1.0, note="T_1(0) lands on 1.0 exactly"),
@@ -257,20 +443,6 @@ def get_fixture(name: str) -> Fixture:
 
 # ---------------------------------------------------------------------------
 # replay
-
-
-def _gauge(name: str):
-    from .solvers import phi_identity, phi_sqrt
-
-    return {"sqrt": phi_sqrt, "identity": phi_identity}[name]()
-
-
-def _delta_for(name: str) -> Callable[[int, int], float | Fraction]:
-    return {
-        "E3-kannan-family": e3_delta,
-        "E4-relaxed-family": e4_delta,
-        "E5-chatterjea-family": e5_delta,
-    }[name]
 
 
 def _e5_display_violations(space: SpaceDescriptor, family: MapFamily, tol: float = 1e-9) -> int:
@@ -325,10 +497,7 @@ def run_fixture(name: str, seed: int = 0) -> dict:
     if name == "E1-maxpow":
         observed["dist_1_2"] = eval_distance(fx.space, 1.0, 2.0)
         observed["self_3"] = eval_distance(fx.space, 3.0, 3.0)
-        T1, T2 = fx.maps
-        report = solve_pair_banach(
-            fx.space, T1, T2, fx.scheme_config["x0"], fx.scheme_config["k"]
-        )
+        report = solve_from_config(fx.space, "banach-pair", fx.scheme_config)
         observed["pair_fixed_coord"] = report.point.coords[0]
         observed["pair_bound_ok"] = bool(report.bound_check and report.bound_check.satisfied)
         observed["pair_worst_slack"] = report.worst_slack
@@ -350,24 +519,7 @@ def run_fixture(name: str, seed: int = 0) -> dict:
         stages["limit_scan"] = {"candidates": [list(c.coords) for c in candidates]}
 
     else:
-        cfg = fx.scheme_config
-        if cfg["gate"] == "alpha-series":
-            gate = AlphaSeriesGate(
-                with_2s_factor=True,
-                horizon=cfg["gate_horizon"],
-                grid=tuple(cfg["gate_grid"]),
-            )
-        else:
-            gate = RelaxedCnGate(horizon=cfg["gate_horizon"])
-        report = solve_family(
-            fx.space,
-            fx.maps,
-            cfg["x0"],
-            scheme=cfg["scheme"],
-            F=_gauge(cfg["gauge"]),
-            delta=_delta_for(name),
-            gate=gate,
-        )
+        report = solve_from_config(fx.space, "family", fx.scheme_config)
         observed["fixed_coord"] = report.point.coords[0]
         observed["steps_taken"] = report.trace.steps_taken
         observed["bound_ok"] = bool(report.bound_check and report.bound_check.satisfied)
@@ -383,7 +535,7 @@ def run_fixture(name: str, seed: int = 0) -> dict:
             observed["display_violations"] = _e5_display_violations(fx.space, fx.maps)
         stages["family_solve"] = report.to_json_dict()
         per_map = per_map_fixed_point_check(
-            fx.space, fx.maps, report, delta=_delta_for(name), indices=(1, 2, 3, 5)
+            fx.space, fx.maps, report, delta=_delta(fx.scheme_config["delta"]), indices=(1, 2, 3, 5)
         )
         stages["per_map"] = [
             {"index": c.index, "residual": c.residual, "verdict": c.verdict} for c in per_map

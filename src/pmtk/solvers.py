@@ -895,6 +895,8 @@ def detect_cauchy(
     the Cauchy verdict; the mean is the limit estimate, and a near-zero
     estimate flags the orbit as vanishing-distance Cauchy.
     """
+    if window < 1:
+        raise InputError(f"window must be at least 1, got {window}")
     pts = [as_point(p, space.dim) for p in points]
     if len(pts) <= 2 * window:
         raise InputError(f"need more than {2 * window} points for a window of {window}")
@@ -929,6 +931,8 @@ def scan_limit_candidates(
     intercept of a quadratic fit in 1/m over the upper half of the
     sequence.  The fit catches slow drifts the raw window average hides.
     """
+    if window < 1:
+        raise InputError(f"window must be at least 1, got {window}")
     pts = [as_point(p, space.dim) for p in seq_points]
     M = len(pts)
     if M < 2 * window:

@@ -86,7 +86,7 @@ def _run_criterion_1():
     cfg = fx.scheme_config
     started = time.perf_counter()
     gate = AlphaSeriesGate(
-        with_2s_factor=True, horizon=cfg["gate_horizon"], grid=tuple(cfg["gate_grid"])
+        with_2s_factor=True, horizon=cfg["gate"]["horizon"], grid=tuple(cfg["gate"]["grid"])
     )
     report = solve_family(
         fx.space, fx.maps, cfg["x0"], scheme=cfg["scheme"], F=phi_sqrt(),

@@ -6,7 +6,8 @@ import os
 import pytest
 
 from pmtk.cli import dispatch
-from pmtk.spaces import Box, SpaceClass, SpaceDescriptor, build_oracle, save_space
+from pmtk.fixtures import get_fixture, run_fixture
+from pmtk.spaces import Box, SpaceClass, SpaceDescriptor, build_oracle, dump_json, save_space
 
 
 def write_space(path, spec=None, K=1.0, claim=SpaceClass.METRIC):
@@ -82,6 +83,24 @@ def test_fixtures_run_unknown_name(capsys):
     code, _, err = run(capsys, "fixtures", "run", "E9-missing")
     assert code == 65
     assert "error" in err
+
+
+@pytest.mark.parametrize("name, scheme, stage", [
+    ("E1-maxpow", "banach-pair", "pair_solve"),
+    ("E3-kannan-family", "family", "family_solve"),
+    ("E4-relaxed-family", "family", "family_solve"),
+    ("E5-chatterjea-family", "family", "family_solve"),
+])
+def test_fixture_scheme_config_is_a_solve_config(capsys, tmp_path, name, scheme, stage):
+    fx = get_fixture(name)
+    save_space(fx.space, str(tmp_path / "space.json"))
+    (tmp_path / "config.json").write_text(json.dumps(fx.scheme_config))
+    code, out, _ = run(
+        capsys, "solve", "--scheme", scheme, "--space", str(tmp_path / "space.json"),
+        "--config", str(tmp_path / "config.json"),
+    )
+    assert code == 0
+    assert json.loads(out)["report"] == json.loads(dump_json(run_fixture(name)["stages"][stage]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +465,39 @@ def test_solve_usage_and_data_errors(capsys, tmp_path):
         capsys, "solve", "--scheme", "banach-pair", "--space", space,
         "--config", json.dumps(cfg_bad_map),
     )[0] == 65
+
+
+FAMILY_CFG = {
+    "family": {"kind": "geometric", "base": 5.0},
+    "delta": {"kind": "const", "value": 0.25},
+    "x0": 1.0,
+}
+ADMISSIBLE_CFG = {
+    "T": {"kind": "scale", "factor": 0.25},
+    "alpha": {"kind": "const", "value": 2.0},
+    "beta": {"kind": "const", "value": 0.5},
+    "C_alpha": 2.0,
+    "C_beta": 0.6,
+    "x0": 1.0,
+}
+
+
+@pytest.mark.parametrize("scheme, cfg", [
+    ("banach-pair", {key: v for key, v in BANACH_CFG.items() if key != "T1"}),
+    ("banach-pair", dict(BANACH_CFG, k="abc")),
+    ("banach-pair", dict(BANACH_CFG, T1="half")),
+    ("banach-pair", dict(BANACH_CFG, T1={"kind": "scale"})),
+    ("family", {key: v for key, v in FAMILY_CFG.items() if key != "delta"}),
+    ("family", dict(FAMILY_CFG, delta={"kind": "fixture", "name": "E1-maxpow"})),
+    ("family", dict(FAMILY_CFG, gauge={"kind": "power"})),
+    ("admissible", dict(ADMISSIBLE_CFG, alpha="const")),
+    ("banach-pair", dict(BANACH_CFG, x0="a")),
+])
+def test_solve_malformed_config_is_data_error(capsys, tmp_path, scheme, cfg):
+    space = write_space(tmp_path / "line.json")
+    code, out, err = run(
+        capsys, "solve", "--scheme", scheme, "--space", space, "--config", json.dumps(cfg)
+    )
+    assert code == 65
+    assert err.startswith("error:")
+    assert out == ""

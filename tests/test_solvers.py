@@ -580,3 +580,18 @@ def test_limit_scan_keeps_only_the_true_limit():
     assert found[0].coords == (0.0,)
     with pytest.raises(InputError):
         scan_limit_candidates(line, geo[:30], window=20)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_detect_cauchy_rejects_window_below_one(window):
+    # a window of 0 would take the whole sequence as its tail, -3 all but three points
+    pts = [1.0 / (2.0 * m) for m in range(1, 31)]
+    with pytest.raises(InputError, match="window must be at least 1"):
+        detect_cauchy(line_space(), pts, window=window)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_limit_scan_rejects_window_below_one(window):
+    pts = [1.0 / (2.0 * m) for m in range(1, 31)]
+    with pytest.raises(InputError, match="window must be at least 1"):
+        scan_limit_candidates(line_space(), pts, grid_points=10, window=window)
