@@ -17,6 +17,7 @@ and seeds produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -232,6 +233,7 @@ def _cmd_fixtures(args) -> int:
 # argument wiring
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pmtk", description="partial metric type space toolkit")
     parser.add_argument("--version", action="version", version=f"pmtk {__version__}")

@@ -26,6 +26,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .axioms import build_report
 from .errors import CatalogError, InputError, UsageError
 from .series import kannan_rate_terms
@@ -119,14 +121,14 @@ def _map(spec: dict) -> SelfMap:
     kind = spec.get("kind")
     if kind == "scale":
         factor = _field(spec, "factor")
-        return SelfMap.scalar(lambda t: factor * t)
+        return SelfMap.closed_form(lambda t: factor * t)
     if kind == "affine":
         a = _field(spec, "scale", float, 1.0)
         b = _field(spec, "offset", float, 0.0)
-        return SelfMap.scalar(lambda t: a * t + b)
+        return SelfMap.closed_form(lambda t: a * t + b)
     if kind == "const":
         c = _field(spec, "value")
-        return SelfMap.scalar(lambda t: c)
+        return SelfMap.closed_form(lambda t: c)
     raise InputError(f"unknown map kind {kind!r} (expected scale, affine, or const)")
 
 
@@ -172,6 +174,11 @@ def _delta(spec: dict) -> Callable[[int, int], float | Fraction]:
         num = _field(spec, "num", int, 1)
         den = _field(spec, "den", int, 3)
         shift = _field(spec, "shift", int, 6)
+        # the delta is evaluated only at i != j, where abs(i - j) >= 1
+        if den < 1:
+            raise InputError(f"shifted-recip 'den' must be at least 1, got {den}")
+        if shift < 0:
+            raise InputError(f"shifted-recip 'shift' must be at least 0, got {shift}")
         return lambda i, j: Fraction(num, den) + Fraction(1, abs(i - j) + shift)
     if kind == "fixture":
         # a fixture without a delta raises KeyError, which the caller's _field reports
@@ -298,10 +305,7 @@ def _fixture_space(oracle_spec, K: float, domain: Box, **flags) -> SpaceDescript
 def _e5_jump(i: int) -> SelfMap:
     plateau = float(Fraction(2, 3) + Fraction(1, i + 2))
 
-    def fn(t: float) -> float:
-        return 1.0 if t > 0.0 else plateau
-
-    return SelfMap.scalar(fn, label=f"T_{i}")
+    return SelfMap.closed_form(lambda t: np.where(t > 0.0, 1.0, plateau), label=f"T_{i}")
 
 
 def _e5_family() -> MapFamily:

@@ -260,7 +260,8 @@ class _ExactPrefix:
         self.terms = terms
         H = len(terms)
         rounded = np.array([_quotient(t.numerator, t.denominator) for t in terms])
-        self.screen = np.cumsum(rounded) / np.arange(1, H + 1)
+        with np.errstate(over="ignore"):  # a sum past the float range screens as inf
+            self.screen = np.cumsum(rounded) / np.arange(1, H + 1)
         # L u for the sum, a few u for the division and for p/q, and a floor
         self.margin = 1e-12 + 4.0 * H * 2.0**-53
         self.sums: list[Fraction] = []

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, GateError, InputError
+from .errors import ConstructionError, GateError, InputError, OracleValueError
 from .series import (
     DEFAULT_LAMBDA_GRID,
     certify_alpha_series,
@@ -46,6 +46,7 @@ from .spaces import (
     domain_point,
     eval_distance,
     eval_row,
+    eval_terms,
     self_distance,
 )
 
@@ -808,9 +809,47 @@ class PerMapCheck:
     second_point: Point | None = None
 
 
-def _domain_grid(space: SpaceDescriptor, count: int) -> list[Point]:
+def _grid_rows(space: SpaceDescriptor, count: int) -> np.ndarray:
     per_axis = max(2, round(count ** (1.0 / space.dim)))
-    return [Point(tuple(row)) for row in space.domain.grid(per_axis, OPEN_ENDPOINT_MARGIN).tolist()]
+    return space.domain.grid(per_axis, OPEN_ENDPOINT_MARGIN)
+
+
+def _domain_grid(space: SpaceDescriptor, count: int) -> list[Point]:
+    return [Point(tuple(row)) for row in _grid_rows(space, count).tolist()]
+
+
+def _second_fixed_point(space: SpaceDescriptor, y: Point, x_star: Point, tol: float) -> bool:
+    sep = 0.0 if y.coords == x_star.coords else eval_distance(space, y, x_star)
+    return sep > 10.0 * tol
+
+
+def _batch_scan(space: SpaceDescriptor, T: SelfMap, x_star: Point, grid: np.ndarray,
+                tol: float) -> tuple[Point | None, int]:
+    """uniqueness_scan's loop over a prefix of the grid, with T.array and one eval_terms call.
+
+    The prefix ends at the first row whose image is non-finite, of the
+    wrong dimension or outside the domain.  Returns the loop's answer if it
+    falls in the prefix, else None and the row where the loop must go on;
+    that row raises the loop's error.  An oracle failure anywhere in the
+    batch sends the whole scan to the loop, which meets it in its own order.
+    """
+    with np.errstate(all="ignore"):  # overflow and nan images count as bad rows
+        images = np.asarray(T.array(grid), dtype=float)
+    if images.shape != grid.shape:
+        return None, 0
+    good = np.isfinite(images).all(axis=1) & space.domain.contains_rows(grid) & space.domain.contains_rows(images)
+    stop = len(grid) if good.all() else int(good.argmin())
+    try:
+        v = eval_terms(space, np.stack([grid[:stop], images[:stop]], axis=1), ((0, 1), (0, 0), (1, 1)))
+    except (ConstructionError, OracleValueError):
+        return None, 0
+    # residual's max(a, b): a unless b is larger
+    a, b = v[:, 0] - v[:, 1], v[:, 0] - v[:, 2]
+    for r in np.flatnonzero(np.where(b > a, b, a) <= tol).tolist():
+        y = Point(tuple(grid[r].tolist()))
+        if _second_fixed_point(space, y, x_star, tol):
+            return y, stop
+    return None, stop
 
 
 def uniqueness_scan(
@@ -820,12 +859,22 @@ def uniqueness_scan(
     grid_points: int = 1000,
     tol: float = DEFAULT_TOL,
 ) -> Point | None:
-    """Grid scan for a second fixed point clearly separated from x_star."""
-    for y in _domain_grid(space, grid_points):
-        if residual(space, y, T) <= tol:
-            sep = 0.0 if y.coords == x_star.coords else eval_distance(space, y, x_star)
-            if sep > 10.0 * tol:
-                return y
+    """Grid scan for a second fixed point clearly separated from x_star.
+
+    The grid is walked in order and the first qualifying point returned.
+    A map with an array form is evaluated in one batch up to its first
+    unusable image; the residual loop covers the rest and scalar maps.
+    """
+    grid = _grid_rows(space, grid_points)
+    start = 0
+    if T.array is not None:
+        found, start = _batch_scan(space, T, x_star, grid, tol)
+        if found is not None:
+            return found
+    for row in grid[start:].tolist():
+        y = Point(tuple(row))
+        if residual(space, y, T) <= tol and _second_fixed_point(space, y, x_star, tol):
+            return y
     return None
 
 

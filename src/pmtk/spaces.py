@@ -458,10 +458,16 @@ def ball_contains(space: SpaceDescriptor, center, radius: float, y) -> bool:
 
 @dataclass(frozen=True)
 class SelfMap:
-    """A pure map from the domain into itself, with a display label."""
+    """A pure map from the domain into itself, with a display label.
+
+    array, when present, is the same map on a batch: an (N, d) coordinate
+    array to the (N, d') array of images, row for row bitwise equal to apply.
+    Scans evaluate maps that carry one in a single batch.
+    """
 
     apply: Callable[[Point], Point]
     label: str = "T"
+    array: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, p: Point) -> Point:
         return as_point(self.apply(p))
@@ -469,6 +475,18 @@ class SelfMap:
     @classmethod
     def scalar(cls, fn: Callable[[float], float], label: str = "T") -> "SelfMap":
         return cls(apply=lambda p: Point((float(fn(p.coords[0])),)), label=label)
+
+    @classmethod
+    def closed_form(cls, fn: Callable, label: str = "T") -> "SelfMap":
+        """SelfMap.scalar(fn) with an array form.
+
+        fn must act alike on a float and on a float64 array, as t * f,
+        a * t + b or np.where do, so that both forms agree bitwise.
+        """
+        def array(rows: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(np.asarray(fn(rows[:, 0]), dtype=float), (len(rows),))[:, None]
+
+        return replace(cls.scalar(fn, label), array=array)
 
 
 @dataclass(frozen=True)
@@ -486,7 +504,7 @@ class MapFamily:
     @classmethod
     def geometric(cls, base: float, label: str) -> "MapFamily":
         """The scalar family T_i(t) = t * base**-i."""
-        return cls(generator=lambda i: SelfMap.scalar(lambda t: t * base**-i, label=f"T_{i}"), label=label)
+        return cls(generator=lambda i: SelfMap.closed_form(lambda t: t * base**-i, label=f"T_{i}"), label=label)
 
 
 def check_selfmap_closure(space: SpaceDescriptor, m: SelfMap, sampler: "Sampler") -> list[Point]:

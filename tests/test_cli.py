@@ -140,7 +140,8 @@ def test_check_negative_oracle_is_rejected_input(capsys, tmp_path):
 
 def test_check_rejects_domain_in_object_form(capsys, tmp_path):
     path = tmp_path / "space.json"
-    doc = json.loads(open(write_space(path)).read())
+    write_space(path)
+    doc = json.loads(path.read_text())
     doc["domain"] = {"bounds": doc["domain"]}
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "check", str(path))
@@ -497,6 +498,21 @@ def test_solve_malformed_config_is_data_error(capsys, tmp_path, scheme, cfg):
     space = write_space(tmp_path / "line.json")
     code, out, err = run(
         capsys, "solve", "--scheme", scheme, "--space", space, "--config", json.dumps(cfg)
+    )
+    assert code == 65
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("delta", [
+    {"kind": "shifted-recip", "den": 0},
+    {"kind": "shifted-recip", "shift": -1},
+])
+def test_solve_rejects_a_shifted_recip_delta_that_divides_by_zero(capsys, tmp_path, delta):
+    space = write_space(tmp_path / "line.json")
+    cfg = dict(FAMILY_CFG, delta=delta)
+    code, out, err = run(
+        capsys, "solve", "--scheme", "family", "--space", space, "--config", json.dumps(cfg)
     )
     assert code == 65
     assert err.startswith("error:")

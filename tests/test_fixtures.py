@@ -1,13 +1,17 @@
 """Worked-example catalog: frozen values must replay bit-for-bit."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmtk.errors import CatalogError
+from pmtk.errors import CatalogError, InputError
 from pmtk.fixtures import (
     FIXTURE_NAMES,
+    _delta,
     e3_delta,
     e4_delta,
     e5_delta,
@@ -43,6 +47,21 @@ def test_displacement_coefficient_tiers():
     assert e3_delta(2000, 1500) == 0.0
     assert e5_delta(1, 2) == Fraction(10, 21)
     assert e5_delta(4, 1) == Fraction(1, 3) + Fraction(1, 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.integers(-100, 100), den=st.integers(-5, 20), shift=st.integers(-5, 20))
+def test_shifted_recip_delta_is_rejected_or_finite_off_the_diagonal(num, den, shift):
+    try:
+        delta = _delta({"kind": "shifted-recip", "num": num, "den": den, "shift": shift})
+    except InputError as exc:
+        assert den < 1 or shift < 0
+        assert ("'den'" if den < 1 else "'shift'") in str(exc)
+        return
+    for i in range(1, 51):
+        for j in range(1, 51):
+            if i != j:
+                assert math.isfinite(float(delta(i, j)))
 
 
 def test_maxpow_example_replays():

@@ -91,7 +91,7 @@ def reference_scan(space, seq_points, grid_points=1000, window=20, threshold=1e-
 def reference_basepoint_note(space, base, sampler, tol=1e-9):
     hypothesis_violations = 0
     witness = None
-    for x, y in sampler.pairs(count=600):
+    for x, y in sampler.pairs():
         if x.coords == y.coords:
             continue
         if eval_distance(space, base, x) > eval_distance(space, x, y) + tol:
@@ -320,9 +320,12 @@ def test_basepoint_provenance_and_oracle_calls_match_the_pair_loop(case):
     del calls[:]
     used = sampler or Sampler(seed=0, region=box, grid_density=12, random_count=600)
     check_metric_type(space, used, K=1.0, chain_len=1)
+    checked = len(calls)
     base = Point(tuple(x0)) if isinstance(x0, tuple) else Point.of(x0)
     want = reference_basepoint_note(space, base, used)
-    assert made == len(calls)
+    # the reference evaluates p(x0, x) and p(x, y) per distinct pair; the
+    # construction takes p(x, y) from its D2 evaluations and adds only p(x0, x)
+    assert made == checked + (len(calls) - checked) // 2
     assert derived.provenance == want
     if case != "discrete":
         assert want["hypothesis_violations"] > 0

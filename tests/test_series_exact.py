@@ -230,6 +230,15 @@ def test_refuted_sequence_past_the_float_range_gets_a_verdict():
     assert (cert.status, cert.witness_L) == ("refuted_at_horizon", 4)
 
 
+def test_screen_sum_past_the_float_range_is_inf_without_a_warning():
+    # each term rounds to 8.99e307, so the float screen overflows at L = 2;
+    # the suite turns numpy's overflow warning into an error
+    t = Fraction(899 * 10**305)
+    cert = certify_alpha_series(RateSequence((t, t)))
+    assert (cert.status, cert.witness_L) == ("refuted_at_horizon", 2)
+    assert _ExactPrefix((t, t)).screen[1] == math.inf
+
+
 @settings(max_examples=150, deadline=None)
 @given(terms=st.lists(st.one_of(wide_terms, exact_terms), min_size=1, max_size=60))
 def test_exact_average_is_the_float_of_the_prefix_sum(terms):

@@ -169,6 +169,18 @@ def test_basepoint_rejects_nonvanishing_self_distance():
         from_metric_with_basepoint(sp, 0.0)
 
 
+def test_basepoint_scan_reuses_the_checked_pairs():
+    # D1 on 512 points, D2's 600 pairs at four terms, D3's 600 chains at
+    # four terms, then p(x0, x) once per distinct pair: 584 of the 600
+    calls = []
+    oracle = build_oracle({"op": "absdiff"})
+    counted = type(oracle)(fn=lambda x, y: calls.append(1) or oracle.fn(x, y), spec=oracle.spec)
+    sp = make_space(counted, claim=SpaceClass.METRIC)
+    derived = from_metric_with_basepoint(sp, 0.0)
+    assert len(calls) == 512 + 4 * 600 + 4 * 600 + 584 == 5_896
+    assert derived.provenance["hypothesis_violations"] > 0
+
+
 def test_basepoint_must_lie_in_domain():
     sp = make_space({"op": "absdiff"}, claim=SpaceClass.METRIC)
     with pytest.raises(InputError, match="outside"):
